@@ -29,7 +29,9 @@
 // the journal, tables and resume behaviour are byte-identical to a
 // serial run — only the wall-clock time changes. -journal-segments N
 // rotates the journal into checkpointed segments past N bytes, keeping
-// a long campaign's journal bounded; with -strict a journal disk fault
+// a long campaign's journal bounded (-resume and -journal-segments need
+// -journal: without it they exit 2 before anything is measured); with
+// -strict a journal disk fault
 // (ENOSPC, fsync failure) aborts the campaign, without it the run
 // finishes in memory and the report is marked JOURNAL DEGRADED.
 //
@@ -39,8 +41,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -58,38 +62,81 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process-global parts so tests can drive every
+// exit path: 0 on success, 1 when a measurement fails or -strict finds
+// degraded data, 2 for a usage error caught before anything is measured.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("evsel", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list all events with descriptions")
-		jsonOut  = flag.Bool("json", false, "write the event database as JSON to stdout")
-		workload = flag.String("workload", "", "workload to measure (see -workloads)")
-		compare  = flag.String("compare", "", "second workload for a run comparison")
-		sweepArg = flag.String("sweep", "", "comma-separated thread counts for a parameter sweep")
-		machine  = flag.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
-		threads  = flag.Int("threads", 1, "thread count")
-		reps     = flag.Int("reps", 3, "repetitions per register batch")
-		modeArg  = flag.String("mode", "batched", "batched, multiplexed or unlimited")
-		events   = flag.String("events", "", "comma-separated event names (default: all)")
-		wlList   = flag.Bool("workloads", false, "list available workloads")
-		seed     = flag.Int64("seed", 1, "noise seed")
-		minR     = flag.Float64("min-r", 0.5, "minimum |R| for sweep output")
-		regions  = flag.Bool("regions", false, "print the per-code-region event attribution")
-		derived  = flag.Bool("metrics", false, "print derived metrics (IPC, MPKI, bandwidths, ...)")
-		saveTo   = flag.String("save", "", "save the measurement as JSON to this file")
-		loadA    = flag.String("load-a", "", "load measurement A from a JSON file (with -load-b)")
-		loadB    = flag.String("load-b", "", "load measurement B from a JSON file")
+		list     = fs.Bool("list", false, "list all events with descriptions")
+		jsonOut  = fs.Bool("json", false, "write the event database as JSON to stdout")
+		workload = fs.String("workload", "", "workload to measure (see -workloads)")
+		compare  = fs.String("compare", "", "second workload for a run comparison")
+		sweepArg = fs.String("sweep", "", "comma-separated thread counts for a parameter sweep")
+		machine  = fs.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
+		threads  = fs.Int("threads", 1, "thread count")
+		reps     = fs.Int("reps", 3, "repetitions per register batch")
+		modeArg  = fs.String("mode", "batched", "batched, multiplexed or unlimited")
+		events   = fs.String("events", "", "comma-separated event names (default: all)")
+		wlList   = fs.Bool("workloads", false, "list available workloads")
+		seed     = fs.Int64("seed", 1, "noise seed")
+		minR     = fs.Float64("min-r", 0.5, "minimum |R| for sweep output")
+		regions  = fs.Bool("regions", false, "print the per-code-region event attribution")
+		derived  = fs.Bool("metrics", false, "print derived metrics (IPC, MPKI, bandwidths, ...)")
+		saveTo   = fs.String("save", "", "save the measurement as JSON to this file")
+		loadA    = fs.String("load-a", "", "load measurement A from a JSON file (with -load-b)")
+		loadB    = fs.String("load-b", "", "load measurement B from a JSON file")
 
-		strict = flag.Bool("strict", false, "exit nonzero when results rest on degraded data (non-finite samples dropped, unusable series, degenerate tests)")
+		strict = fs.Bool("strict", false, "exit nonzero when results rest on degraded data (non-finite samples dropped, unusable series, degenerate tests)")
 
-		journal     = flag.String("journal", "", "run as a supervised campaign, journaling completed cells to this file")
-		journalSegs = flag.Int("journal-segments", 0, "rotate the journal into checkpointed segments past this many bytes (0 = single file)")
-		resume      = flag.Bool("resume", false, "resume a killed campaign from its journal (skips completed cells)")
-		runTimeout  = flag.Duration("run-timeout", campaign.DefaultRunTimeout, "wall-clock bound per run attempt")
-		maxRetries  = flag.Int("max-retries", campaign.DefaultMaxRetries, "retries per run cell before it becomes a gap")
-		keepGoing   = flag.Bool("keep-going", false, "record typed gaps for failed cells instead of aborting the campaign")
-		opBudget    = flag.Uint64("op-budget", 0, "abort any run that simulates more than this many operations (0 = unlimited)")
-		parallel    = flag.Int("parallel", 1, "run cells measured concurrently; results are byte-identical at any setting")
+		journal     = fs.String("journal", "", "run as a supervised campaign, journaling completed cells to this file")
+		journalSegs = fs.Int("journal-segments", 0, "rotate the journal into checkpointed segments past this many bytes (0 = single file)")
+		resume      = fs.Bool("resume", false, "resume a killed campaign from its journal (skips completed cells)")
+		runTimeout  = fs.Duration("run-timeout", campaign.DefaultRunTimeout, "wall-clock bound per run attempt")
+		maxRetries  = fs.Int("max-retries", campaign.DefaultMaxRetries, "retries per run cell before it becomes a gap")
+		keepGoing   = fs.Bool("keep-going", false, "record typed gaps for failed cells instead of aborting the campaign")
+		opBudget    = fs.Uint64("op-budget", 0, "abort any run that simulates more than this many operations (0 = unlimited)")
+		parallel    = fs.Int("parallel", 1, "run cells measured concurrently; results are byte-identical at any setting")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Journal flags that would be silently ignored are usage errors,
+	// caught before anything is measured.
+	switch {
+	case *resume && *journal == "":
+		fmt.Fprintln(stderr, "evsel: -resume requires -journal (nothing to resume from)")
+		return 2
+	case *journalSegs < 0:
+		fmt.Fprintf(stderr, "evsel: -journal-segments must not be negative (got %d)\n", *journalSegs)
+		return 2
+	case *journalSegs > 0 && *journal == "":
+		fmt.Fprintln(stderr, "evsel: -journal-segments requires -journal (nothing to rotate)")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "evsel: %v\n", err)
+		return 1
+	}
+	// strictExit implements -strict: the annotated table has already been
+	// printed; hard degradation (non-finite samples dropped, unusable
+	// series, degenerate tests) additionally becomes a nonzero exit so
+	// scripts can gate on data quality. Advisory diagnostics — constant
+	// series, zero-variance ties — never trip it.
+	strictExit := func(hard bool, what string) int {
+		if !*strict || !hard {
+			return 0
+		}
+		fmt.Fprintf(stderr, "evsel: -strict: %s rests on degraded data (hard diagnostics above)\n", what)
+		return 1
+	}
 
 	switch {
 	case *list:
@@ -98,70 +145,65 @@ func main() {
 			if d.PEBS {
 				pebs = " [PEBS]"
 			}
-			fmt.Printf("%-45s %02X/%02X %-7s%s\n  %s\n", d.Name, d.Code, d.Umask, d.Domain, pebs, d.Description)
+			fmt.Fprintf(stdout, "%-45s %02X/%02X %-7s%s\n  %s\n", d.Name, d.Code, d.Umask, d.Domain, pebs, d.Description)
 		}
-		return
+		return 0
 	case *jsonOut:
-		if err := counters.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
+		if err := counters.WriteJSON(stdout); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	case *wlList:
 		for _, n := range workloads.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	case *loadA != "" && *loadB != "":
 		ma, err := evsel.LoadMeasurementFile(*loadA)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		mb, err := evsel.LoadMeasurementFile(*loadB)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		cmp, err := evsel.Compare(ma, mb)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("comparing %s (A) with %s (B)\n\n", *loadA, *loadB)
-		fmt.Print(cmp.SortByImpact().Where(evsel.NonZero()).Render())
-		strictExit(*strict, cmp.HardDegraded(), "comparison")
-		return
+		fmt.Fprintf(stdout, "comparing %s (A) with %s (B)\n\n", *loadA, *loadB)
+		fmt.Fprint(stdout, cmp.SortByImpact().Where(evsel.NonZero()).Render())
+		return strictExit(cmp.HardDegraded(), "comparison")
 	case *workload == "":
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	mach, ok := topology.ByName(*machine)
 	if !ok {
-		fatalf("unknown machine %q (have %v)", *machine, topology.MachineNames())
+		return fail(fmt.Errorf("unknown machine %q (have %v)", *machine, topology.MachineNames()))
 	}
 	wl, ok := workloads.ByName(*workload)
 	if !ok {
-		fatalf("unknown workload %q (have %v)", *workload, workloads.Names())
+		return fail(fmt.Errorf("unknown workload %q (have %v)", *workload, workloads.Names()))
 	}
 	mode, err := parseMode(*modeArg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	ids, err := parseEvents(*events)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	mkEngine := func(threadCount int) *exec.Engine {
-		e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: threadCount, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		return e
+	mkEngine := func(threadCount int) (*exec.Engine, error) {
+		return exec.NewEngine(exec.Config{Machine: mach, Threads: threadCount, Seed: *seed})
 	}
 
-	// Campaign supervision: -journal, -resume or -parallel switches
-	// measurement and sweep runs to the crash-tolerant campaign runner
-	// (the only executor with a worker pool; -parallel therefore implies
+	// Campaign supervision: -journal or -parallel switches measurement
+	// and sweep runs to the crash-tolerant campaign runner (the only
+	// executor with a worker pool; -parallel therefore implies
 	// campaign-mode measurement even without a journal).
-	campaigning := *journal != "" || *resume || *parallel > 1
+	campaigning := *journal != "" || *parallel > 1
 	opts := campaign.Options{
 		RunTimeout:          *runTimeout,
 		MaxRetries:          *maxRetries,
@@ -173,7 +215,7 @@ func main() {
 		StrictJournal:       *strict,
 		Resume:              *resume,
 		BackoffSeed:         *seed,
-		Logf:                func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+		Logf:                func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) },
 	}
 	// The flags speak plainly (0 = off); the Options zero values select
 	// package defaults, so translate.
@@ -199,11 +241,10 @@ func main() {
 		for _, s := range strings.Split(*sweepArg, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fatalf("bad sweep value %q: %v", s, err)
+				return fail(fmt.Errorf("bad sweep value %q: %v", s, err))
 			}
 			params = append(params, float64(v))
 		}
-		var sweep *evsel.Sweep
 		if campaigning {
 			spec := campaign.Spec{ParamName: "threads", Events: ids, Reps: *reps, Mode: mode, Seed: *seed}
 			for _, p := range params {
@@ -211,110 +252,116 @@ func main() {
 			}
 			rep, err := (&campaign.Runner{Spec: spec, Opts: opts}).Run()
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			sweep = &evsel.Sweep{ParamName: "threads"}
+			sweep := &evsel.Sweep{ParamName: "threads"}
 			for _, pr := range rep.Points {
 				sweep.Points = append(sweep.Points, evsel.SweepPoint{Param: pr.Param, M: pr.M})
 			}
-			fmt.Print(sweep.Render(*minR))
-			fmt.Print(rep.Summary())
-			strictExit(*strict, sweep.HardDegraded(), "sweep")
-			return
-		} else {
-			var err error
-			sweep, err = evsel.RunSweep("threads", params,
-				func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-					return mkEngine(int(p)), wl.Body(), nil
-				}, ids, *reps, mode)
-			if err != nil {
-				fatal(err)
-			}
+			fmt.Fprint(stdout, sweep.Render(*minR))
+			fmt.Fprint(stdout, rep.Summary())
+			return strictExit(sweep.HardDegraded(), "sweep")
 		}
-		fmt.Print(sweep.Render(*minR))
-		strictExit(*strict, sweep.HardDegraded(), "sweep")
+		sweep, err := evsel.RunSweep("threads", params,
+			func(p float64) (*exec.Engine, func(*exec.Thread), error) {
+				e, err := mkEngine(int(p))
+				return e, wl.Body(), err
+			}, ids, *reps, mode)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprint(stdout, sweep.Render(*minR))
+		return strictExit(sweep.HardDegraded(), "sweep")
 
 	case *compare != "":
 		wlB, ok := workloads.ByName(*compare)
 		if !ok {
-			fatalf("unknown workload %q", *compare)
+			return fail(fmt.Errorf("unknown workload %q", *compare))
 		}
-		cmp, err := evsel.CompareWorkloads(mkEngine(*threads), wl.Body(),
-			mkEngine(*threads), wlB.Body(), ids, *reps, mode)
+		ea, err := mkEngine(*threads)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("comparing %s (A) with %s (B)\n\n", wl.Name(), wlB.Name())
-		fmt.Print(cmp.SortByImpact().Where(evsel.NonZero()).Render())
-		strictExit(*strict, cmp.HardDegraded(), "comparison")
-
-	default:
-		if *derived {
-			res, err := mkEngine(*threads).Run(wl.Body())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s\n", wl.Name())
-			fmt.Print(metrics.Render(metrics.Compute(res.Total, mach, res.Seconds)))
-			return
+		eb, err := mkEngine(*threads)
+		if err != nil {
+			return fail(err)
 		}
-		if *regions {
-			res, err := mkEngine(*threads).Run(wl.Body())
-			if err != nil {
-				fatal(err)
-			}
-			out, err := profile.Render(res, 8)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s\n%s", wl.Name(), out)
-			return
+		cmp, err := evsel.CompareWorkloads(ea, wl.Body(), eb, wlB.Body(), ids, *reps, mode)
+		if err != nil {
+			return fail(err)
 		}
-		var m *perf.Measurement
-		var summary string
-		if campaigning {
-			spec := campaign.Spec{
-				ParamName: "threads",
-				Points:    []campaign.Point{campaignPoint(*threads, float64(*threads))},
-				Events:    ids, Reps: *reps, Mode: mode, Seed: *seed,
-			}
-			rep, err := (&campaign.Runner{Spec: spec, Opts: opts}).Run()
-			if err != nil {
-				fatal(err)
-			}
-			m = rep.Points[0].M
-			summary = rep.Summary()
-		} else {
-			var err error
-			m, err = perf.Measure(mkEngine(*threads), wl.Body(), ids, *reps, mode)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if *saveTo != "" {
-			if err := evsel.SaveMeasurementFile(*saveTo, m); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("saved measurement to %s\n", *saveTo)
-		}
-		fmt.Printf("%s: %d runs, %d register batches (%s)\n\n", wl.Name(), m.Runs, m.Batches, m.Mode)
-		fmt.Printf("%-45s %15s %12s\n", "EVENT", "MEAN", "CV")
-		for _, id := range m.Events() {
-			samples := m.Samples[id]
-			mean := m.Mean(id)
-			if mean == 0 {
-				continue
-			}
-			cv := coefficientOfVariation(samples, mean)
-			cover := ""
-			if m.Partial {
-				cover = fmt.Sprintf("  %3.0f%% cover", 100*m.Coverage(id))
-			}
-			fmt.Printf("%-45s %15.5g %11.2f%%%s\n", counters.Def(id).Name, mean, 100*cv, cover)
-		}
-		fmt.Print(summary)
-		strictExit(*strict, nonFiniteSamples(m), "measurement")
+		fmt.Fprintf(stdout, "comparing %s (A) with %s (B)\n\n", wl.Name(), wlB.Name())
+		fmt.Fprint(stdout, cmp.SortByImpact().Where(evsel.NonZero()).Render())
+		return strictExit(cmp.HardDegraded(), "comparison")
 	}
+
+	if *derived || *regions {
+		e, err := mkEngine(*threads)
+		if err != nil {
+			return fail(err)
+		}
+		res, err := e.Run(wl.Body())
+		if err != nil {
+			return fail(err)
+		}
+		if *derived {
+			fmt.Fprintf(stdout, "%s\n", wl.Name())
+			fmt.Fprint(stdout, metrics.Render(metrics.Compute(res.Total, mach, res.Seconds)))
+			return 0
+		}
+		out, err := profile.Render(res, 8)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "%s\n%s", wl.Name(), out)
+		return 0
+	}
+	var m *perf.Measurement
+	var summary string
+	if campaigning {
+		spec := campaign.Spec{
+			ParamName: "threads",
+			Points:    []campaign.Point{campaignPoint(*threads, float64(*threads))},
+			Events:    ids, Reps: *reps, Mode: mode, Seed: *seed,
+		}
+		rep, err := (&campaign.Runner{Spec: spec, Opts: opts}).Run()
+		if err != nil {
+			return fail(err)
+		}
+		m = rep.Points[0].M
+		summary = rep.Summary()
+	} else {
+		e, err := mkEngine(*threads)
+		if err != nil {
+			return fail(err)
+		}
+		if m, err = perf.Measure(e, wl.Body(), ids, *reps, mode); err != nil {
+			return fail(err)
+		}
+	}
+	if *saveTo != "" {
+		if err := evsel.SaveMeasurementFile(*saveTo, m); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "saved measurement to %s\n", *saveTo)
+	}
+	fmt.Fprintf(stdout, "%s: %d runs, %d register batches (%s)\n\n", wl.Name(), m.Runs, m.Batches, m.Mode)
+	fmt.Fprintf(stdout, "%-45s %15s %12s\n", "EVENT", "MEAN", "CV")
+	for _, id := range m.Events() {
+		samples := m.Samples[id]
+		mean := m.Mean(id)
+		if mean == 0 {
+			continue
+		}
+		cv := coefficientOfVariation(samples, mean)
+		cover := ""
+		if m.Partial {
+			cover = fmt.Sprintf("  %3.0f%% cover", 100*m.Coverage(id))
+		}
+		fmt.Fprintf(stdout, "%-45s %15.5g %11.2f%%%s\n", counters.Def(id).Name, mean, 100*cv, cover)
+	}
+	fmt.Fprint(stdout, summary)
+	return strictExit(nonFiniteSamples(m), "measurement")
 }
 
 // nonFiniteSamples reports whether any recorded sample is NaN or ±Inf
@@ -329,19 +376,6 @@ func nonFiniteSamples(m *perf.Measurement) bool {
 		}
 	}
 	return false
-}
-
-// strictExit implements -strict: the annotated table has already been
-// printed; hard degradation (non-finite samples dropped, unusable
-// series, degenerate tests) additionally becomes a nonzero exit so
-// scripts can gate on data quality. Advisory diagnostics — constant
-// series, zero-variance ties — never trip it.
-func strictExit(strict, hard bool, what string) {
-	if !strict || !hard {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "evsel: -strict: %s rests on degraded data (hard diagnostics above)\n", what)
-	os.Exit(1)
 }
 
 func coefficientOfVariation(samples []float64, mean float64) float64 {
@@ -386,14 +420,4 @@ func parseEvents(csv string) ([]counters.EventID, error) {
 		out = append(out, id)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "evsel: %v\n", err)
-	os.Exit(1)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "evsel: "+format+"\n", args...)
-	os.Exit(1)
 }

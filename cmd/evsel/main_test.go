@@ -1,0 +1,113 @@
+package main
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"numaperf/internal/exec"
+	"numaperf/internal/workloads"
+)
+
+// cliTinyWorkload keeps the end-to-end cases fast: a few hundred loads
+// over a 16 KiB buffer instead of a paper-scale working set.
+type cliTinyWorkload struct{}
+
+func (cliTinyWorkload) Name() string { return "evsel-cli-tiny" }
+func (cliTinyWorkload) Body() func(*exec.Thread) {
+	return func(t *exec.Thread) {
+		buf := t.Alloc(1 << 14)
+		for i := uint64(0); i < 256; i++ {
+			t.Load(buf.Addr(i * 64 % (1 << 14)))
+		}
+	}
+}
+
+func TestMain(m *testing.M) {
+	workloads.Register("evsel-cli-tiny", func() workloads.Workload { return cliTinyWorkload{} })
+	m.Run()
+}
+
+const tinyEvents = "INST_RETIRED.ANY,MEM_UOPS_RETIRED.ALL_LOADS"
+
+func runCLI(args ...string) (int, string, string) {
+	var out, errOut strings.Builder
+	code := run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestRunExitCodes table-tests every exit path. The journal-flag cases
+// name an unknown workload: reaching the workload lookup at all would
+// turn their exit 2 into 1, so they prove the checks run before
+// anything is measured.
+func TestRunExitCodes(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	journal := filepath.Join(t.TempDir(), "j")
+	cases := []struct {
+		name   string
+		args   []string
+		want   int
+		stderr string
+	}{
+		{"help", []string{"-h"}, 0, ""},
+		{"bad flag", []string{"-definitely-not-a-flag"}, 2, ""},
+		{"no workload", nil, 2, ""},
+		{"resume without journal", []string{"-workload", "nope", "-resume"}, 2, "-resume requires -journal"},
+		{"negative segments", []string{"-workload", "nope", "-journal", journal, "-journal-segments", "-1"}, 2, "must not be negative"},
+		{"segments without journal", []string{"-workload", "nope", "-journal-segments", "400"}, 2, "-journal-segments requires -journal"},
+		{"list", []string{"-list"}, 0, ""},
+		{"workloads", []string{"-workloads"}, 0, ""},
+		{"missing load file", []string{"-load-a", missing, "-load-b", missing}, 1, "evsel:"},
+		{"unknown machine", []string{"-workload", "evsel-cli-tiny", "-machine", "mystery"}, 1, "unknown machine"},
+		{"unknown workload", []string{"-workload", "nope"}, 1, "unknown workload"},
+		{"unknown mode", []string{"-workload", "evsel-cli-tiny", "-mode", "sideways"}, 1, "unknown mode"},
+		{"unknown event", []string{"-workload", "evsel-cli-tiny", "-events", "NOPE"}, 1, "unknown event"},
+		{"bad sweep value", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-sweep", "1,x"}, 1, "bad sweep value"},
+		{"unknown compare workload", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-compare", "nope"}, 1, "unknown workload"},
+		{"measure", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-reps", "2"}, 0, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, _, stderr := runCLI(tc.args...)
+			if code != tc.want {
+				t.Fatalf("run(%v) = %d, want %d (stderr: %s)", tc.args, code, tc.want, stderr)
+			}
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr %q does not mention %q", stderr, tc.stderr)
+			}
+		})
+	}
+}
+
+// A journaled sweep refuses to clobber its journal, and -resume replays
+// it to the same correlation table.
+func TestRunJournaledSweepResume(t *testing.T) {
+	args := []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-sweep", "1,2", "-reps", "2",
+		"-journal", filepath.Join(t.TempDir(), "sweep.jnl"), "-journal-segments", "200"}
+	code, first, stderr := runCLI(args...)
+	if code != 0 {
+		t.Fatalf("fresh run exit %d: %s", code, stderr)
+	}
+	if code, _, stderr = runCLI(args...); code != 1 || !strings.Contains(stderr, "journal already exists") {
+		t.Fatalf("rerun without -resume: exit %d, stderr %q", code, stderr)
+	}
+	code, resumed, stderr := runCLI(append(args, "-resume")...)
+	if code != 0 || !strings.Contains(stderr, "resuming") {
+		t.Fatalf("resume: exit %d, stderr %q", code, stderr)
+	}
+	if table(first) != table(resumed) {
+		t.Errorf("resumed table differs:\n%s\nvs\n%s", table(first), table(resumed))
+	}
+}
+
+// table drops the campaign accounting lines, which differ between a
+// fresh and a replayed run by design.
+func table(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "campaign:") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}

@@ -1,7 +1,8 @@
 // Command memjournal is the fsck of the campaign and fleet crash
 // journals: it verifies, repairs and compacts any journal this repo's
-// journal package writes — legacy single files and checkpointed
-// segments alike — without knowing whose records they are.
+// journal package writes — one segment at the journal path or many
+// numbered ones — without knowing whose records they are. Every file is
+// judged by the trust rule recovery applies.
 //
 // Usage:
 //

@@ -210,3 +210,28 @@ func TestCompact(t *testing.T) {
 		t.Error("journal not clean after compact")
 	}
 }
+
+// A rotation casualty sitting where -compact writes its segment is
+// rebuilt in place; the compacted journal must survive the cleanup.
+func TestCompactOverCasualty(t *testing.T) {
+	base := buildJournal(t, 96, 20)
+	st, err := journal.LoadSegmented(nil, base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	casualty := fmt.Sprintf("%s.%06d", base, st.Seg+1)
+	if err := os.WriteFile(casualty, []byte("dead"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, _ := runCLI(t, "-compact", base)
+	if code != exitClean {
+		t.Fatalf("compact: exit %d\n%s", code, out)
+	}
+	if strings.Contains(out, "removed "+casualty) {
+		t.Errorf("compact removed its own output:\n%s", out)
+	}
+	after, err := journal.LoadSegmented(nil, base, 1)
+	if err != nil || after == nil || len(after.Records) != 20 {
+		t.Fatalf("post-compact load: (%+v, %v)", after, err)
+	}
+}

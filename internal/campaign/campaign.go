@@ -108,8 +108,9 @@ type Options struct {
 	// JournalSegmentBytes rotates the journal into checkpointed
 	// segments (JournalPath.000001, …) once the live tail passes this
 	// many bytes, keeping resume cost O(tail) instead of O(history).
-	// Zero keeps the single-file layout. A legacy single-file journal
-	// resumed with rotation enabled is migrated crash-safely.
+	// Zero keeps the journal in one file. A one-file journal resumed
+	// with rotation enabled is checkpointed into JournalPath.000001
+	// crash-safely.
 	JournalSegmentBytes int
 	// StrictJournal fails the campaign with ErrJournalDegraded on any
 	// journal disk fault (ENOSPC, fsync failure, …). Without it the
@@ -394,44 +395,34 @@ func (r *Runner) Run() (*Report, error) {
 	}
 	cells := r.cells(plans)
 
-	// Journal: load prior state when resuming (truncating a torn tail
-	// before appending), refuse to clobber otherwise, open for append.
-	// The writer owns the header: it writes one at the head of a fresh
-	// journal and of every rotated segment.
+	// Journal: resume (truncating a torn tail before appending) or
+	// refuse to clobber, then open for append. The writer owns the
+	// header: it writes one at the head of every segment it starts.
 	var state *journalState
-	var jnl journal.Log = (*journal.Writer)(nil)
-	if r.Opts.JournalPath != "" {
-		fsys := r.Opts.JournalFS
-		if fsys == nil {
-			fsys = journal.OSFS
-		}
-		var prior *journal.SegmentedState
-		if r.Opts.Resume {
-			state, prior, err = loadJournal(fsys, r.Opts.JournalPath)
-			if err != nil {
-				return nil, err
-			}
-			if state != nil {
-				if err := state.header.matches(r.header()); err != nil {
-					return nil, err
-				}
-				logf("campaign: resuming %s: %d of %d cells already journaled",
-					r.Opts.JournalPath, state.completed(), len(cells))
-			}
-		} else if journal.HasState(fsys, r.Opts.JournalPath) {
-			return nil, fmt.Errorf("%w: %s", ErrJournalExists, r.Opts.JournalPath)
-		}
-		sw, jerr := journal.OpenSegmented(fsys, r.Opts.JournalPath, prior, journal.SegmentedOptions{
+	jnl, err := journalOwner.Open(journal.Config{
+		FS: r.Opts.JournalFS, Path: r.Opts.JournalPath, Resume: r.Opts.Resume,
+		Strict: r.Opts.StrictJournal, Logf: logf,
+		Segments: journal.SegmentedOptions{
 			SegmentBytes: r.Opts.JournalSegmentBytes,
 			Version:      journalVersion,
 			Header:       r.header(),
-		})
-		if jerr != nil {
-			return nil, fmt.Errorf("campaign: opening journal: %w", jerr)
-		}
-		jnl = sw
-		defer jnl.Close()
+		},
+		Adopt: func(generic *journal.State) (err error) {
+			if state, err = convertJournal(generic, nil); err != nil {
+				return err
+			}
+			if err := state.header.matches(r.header()); err != nil {
+				return err
+			}
+			logf("campaign: resuming %s: %d of %d cells already journaled",
+				r.Opts.JournalPath, state.completed(), len(cells))
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	defer jnl.Close()
 
 	run := r.defaultRun(plans)
 	if r.Opts.Wrap != nil {
@@ -468,28 +459,12 @@ func (r *Runner) Run() (*Report, error) {
 		rep.Truncated = state.truncated
 	}
 
-	// journalFault is the disk-fault policy at every journal append: a
-	// scripted crash propagates verbatim (the chaos harness resumes
-	// from whatever hit the disk); under StrictJournal any other fault
-	// aborts typed; otherwise the journal is dropped, the campaign
-	// finishes in memory, and the report says so — the resume guarantee
-	// is never lost silently.
-	journalFault := func(err error) error {
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, journal.ErrCrashed):
-			return err
-		case r.Opts.StrictJournal:
-			return fmt.Errorf("%w: %v", ErrJournalDegraded, err)
-		}
-		logf("campaign: journal degraded, finishing in memory: %v", err)
-		rep.JournalDegraded = true
-		rep.JournalFault = err.Error()
-		jnl.Close()
-		jnl = (*journal.Writer)(nil)
-		return nil
-	}
+	// A disk fault that cost the journal is reported, never lost
+	// silently.
+	defer func() {
+		rep.JournalFault = jnl.Fault()
+		rep.JournalDegraded = rep.JournalFault != ""
+	}()
 	strikes := newStrikeLog()
 	acc := make([]map[counters.EventID][]float64, len(r.Spec.Points))
 	runsPerPoint := make([]int, len(r.Spec.Points))
@@ -620,8 +595,8 @@ func (r *Runner) Run() (*Report, error) {
 				return rep, &CampaignError{Cell: c, Err: cerr}
 			}
 			logf("campaign: %v (recording gap)", cerr)
-			if jerr := journalFault(jnl.Append(&gapRecord{Kind: "gap", Key: key, Error: cerr.Error(),
-				Events: names(plans[c.Point].visible(c.Batch))})); jerr != nil {
+			if jerr := jnl.Append(&gapRecord{Kind: "gap", Key: key, Error: cerr.Error(),
+				Events: names(plans[c.Point].visible(c.Batch))}); jerr != nil {
 				return rep, jerr
 			}
 			gap(c, cerr.Error())
@@ -646,7 +621,7 @@ func (r *Runner) Run() (*Report, error) {
 			}
 			samples[name] = v
 		}
-		if jerr := journalFault(jnl.Append(&cellRecord{Kind: "cell", Key: key, Samples: samples, Bad: bad})); jerr != nil {
+		if jerr := jnl.Append(&cellRecord{Kind: "cell", Key: key, Samples: samples, Bad: bad}); jerr != nil {
 			return rep, jerr
 		}
 		decoded, _ := decodeSamples(samples)

@@ -13,15 +13,13 @@
 // case) is dropped, and any damaged earlier record fails loudly with
 // ErrJournalCorrupt rather than resuming from lies.
 //
-// Framing, CRC verification, torn-tail handling and version gating
-// live in internal/journal (extracted from this file, byte-compatible);
-// this file keeps the campaign's record types, the spec-match check,
-// and the campaign-flavoured error surface unchanged.
+// Framing, CRC verification, torn-tail handling, version gating, layout
+// and the open/resume/degrade policy live in internal/journal (extracted
+// from this file, byte-compatible); this file keeps the campaign's
+// record types, the spec-match check and its error sentinels.
 package campaign
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"numaperf/internal/journal"
@@ -72,48 +70,14 @@ type journalState struct {
 
 func (s *journalState) completed() int { return len(s.cells) + len(s.gaps) }
 
-// parseLine verifies and decodes one journal line into kind + payload.
-func parseLine(line string) (kind string, payload []byte, err error) {
-	return journal.ParseLine(line)
-}
-
-// loadJournal recovers the journal at path — a legacy single file or
-// checkpointed segments, whichever recovery finds — over fsys. It
-// returns the campaign-flavoured state plus the raw recovery, which
-// OpenSegmented needs to continue the journal in place. A missing,
-// empty or all-casualty journal returns (nil, nil, nil): nothing to
-// resume (the same reading both campaign and fleet callers share).
-func loadJournal(fsys journal.FS, path string) (*journalState, *journal.SegmentedState, error) {
-	seg, err := journal.LoadSegmented(fsys, path, journalVersion)
-	if err != nil {
-		return nil, nil, reflavour(err)
-	}
-	if seg == nil {
-		return nil, nil, nil
-	}
-	st, err := convertJournal(seg.State, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, seg, nil
-}
-
-// reflavour turns the shared package's typed errors into the
-// campaign's historical sentinels and messages so callers (and the
-// fuzz corpus) see the exact pre-extraction surface.
-func reflavour(err error) error {
-	var ce *journal.CorruptError
-	if errors.As(err, &ce) {
-		if ce.Line > 0 {
-			return fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, ce.Line, ce.Reason)
-		}
-		return fmt.Errorf("%w: %v", ErrJournalCorrupt, ce.Reason)
-	}
-	var ve *journal.VersionError
-	if errors.As(err, &ve) {
-		return fmt.Errorf("%w: journal version %d, want %d", ErrJournalMismatch, ve.Got, ve.Want)
-	}
-	return err
+// journalOwner lends the shared journal open/resume/degrade path the
+// campaign's name and its historical error sentinels.
+var journalOwner = &journal.Owner{
+	Name:        "campaign",
+	ErrExists:   ErrJournalExists,
+	ErrCorrupt:  ErrJournalCorrupt,
+	ErrMismatch: ErrJournalMismatch,
+	ErrDegraded: ErrJournalDegraded,
 }
 
 // parseJournal verifies and decodes raw journal bytes — the pure
@@ -128,7 +92,7 @@ func parseJournal(raw []byte) (*journalState, error) {
 // record vocabulary.
 func convertJournal(generic *journal.State, err error) (*journalState, error) {
 	if err != nil {
-		return nil, reflavour(err)
+		return nil, journalOwner.Reflavour(err)
 	}
 	if generic == nil {
 		return nil, nil
@@ -139,22 +103,22 @@ func convertJournal(generic *journal.State, err error) (*journalState, error) {
 		truncated: generic.Truncated,
 	}
 	var h journalHeader
-	if err := json.Unmarshal(generic.Header.Payload, &h); err != nil {
-		return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, generic.Header.Line, err)
+	if err := journalOwner.Decode(generic.Header, &h); err != nil {
+		return nil, err
 	}
 	st.header = &h
 	for _, rec := range generic.Records {
 		switch rec.Kind {
 		case "cell":
 			var c cellRecord
-			if err := json.Unmarshal(rec.Payload, &c); err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, rec.Line, err)
+			if err := journalOwner.Decode(rec, &c); err != nil {
+				return nil, err
 			}
 			st.cells[c.Key] = &c
 		case "gap":
 			var g gapRecord
-			if err := json.Unmarshal(rec.Payload, &g); err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, rec.Line, err)
+			if err := journalOwner.Decode(rec, &g); err != nil {
+				return nil, err
 			}
 			st.gaps[g.Key] = &g
 		default:

@@ -10,6 +10,8 @@ import (
 	"hash/crc32"
 	"strings"
 	"testing"
+
+	"numaperf/internal/journal"
 )
 
 // frameLine builds one valid journal line for a payload.
@@ -69,14 +71,14 @@ func FuzzParseLine(f *testing.F) {
 	f.Add("zzzzzzzz {}")
 	f.Add("deadbeef{}")
 	f.Fuzz(func(t *testing.T, line string) {
-		kind, payload, err := parseLine(line)
+		kind, payload, err := journal.ParseLine(line)
 		if err != nil {
 			return
 		}
 		// A line that verified must round-trip: re-framing the payload
-		// yields a line parseLine accepts with the same kind.
+		// yields a line ParseLine accepts with the same kind.
 		again := strings.TrimSuffix(frameLine(string(payload)), "\n")
-		k2, _, err2 := parseLine(again)
+		k2, _, err2 := journal.ParseLine(again)
 		if err2 != nil || k2 != kind {
 			t.Fatalf("verified line does not round-trip: err %v, kind %q vs %q", err2, k2, kind)
 		}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,23 +19,32 @@ func testHeader() *journalHeader {
 	}
 }
 
+// writeJournal frames records into a fresh file as they are, so tests
+// can build any structure, valid or not.
 func writeJournal(t *testing.T, records ...any) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "j")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := journal.NewWriter(f)
+	var raw []byte
 	for _, r := range records {
-		if err := j.Append(r); err != nil {
+		payload, err := json.Marshal(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		raw = append(raw, journal.Frame(payload)...)
 	}
-	if err := j.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "j")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// loadJournal recovers the journal at path the way a resuming Run does.
+func loadJournal(fsys journal.FS, path string) (*journalState, error) {
+	seg, err := journal.LoadSegmented(fsys, path, journalVersion)
+	if err != nil || seg == nil {
+		return nil, journalOwner.Reflavour(err)
+	}
+	return convertJournal(seg.State, nil)
 }
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -44,7 +54,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			Samples: map[string]float64{"A": 1.5}, Bad: map[string]string{"B": "impossible"}},
 		&gapRecord{Kind: "gap", Key: "p0/r1/b0", Error: "boom", Events: []string{"A", "B"}},
 	)
-	st, _, err := loadJournal(journal.OSFS, path)
+	st, err := loadJournal(journal.OSFS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalMissingAndEmpty(t *testing.T) {
-	st, _, err := loadJournal(journal.OSFS, filepath.Join(t.TempDir(), "nope"))
+	st, err := loadJournal(journal.OSFS, filepath.Join(t.TempDir(), "nope"))
 	if st != nil || err != nil {
 		t.Errorf("missing file: (%v, %v)", st, err)
 	}
@@ -76,7 +86,7 @@ func TestJournalMissingAndEmpty(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, _, err = loadJournal(journal.OSFS, path)
+	st, err = loadJournal(journal.OSFS, path)
 	if st != nil || err != nil {
 		t.Errorf("empty file: (%v, %v)", st, err)
 	}
@@ -95,7 +105,7 @@ func TestJournalTornFinalRecord(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := loadJournal(journal.OSFS, path)
+	st, err := loadJournal(journal.OSFS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestJournalFinalRecordWithoutNewline(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := loadJournal(journal.OSFS, path)
+	st, err := loadJournal(journal.OSFS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +159,7 @@ func TestJournalCorruptionFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
+	if _, err := loadJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
 		t.Errorf("err = %v, want ErrJournalCorrupt", err)
 	}
 }
@@ -158,7 +168,7 @@ func TestJournalMissingHeader(t *testing.T) {
 	path := writeJournal(t,
 		&cellRecord{Kind: "cell", Key: "p0/r0/b0", Samples: map[string]float64{"A": 1}},
 	)
-	if _, _, err := loadJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
+	if _, err := loadJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
 		t.Errorf("err = %v, want ErrJournalCorrupt", err)
 	}
 }
@@ -167,7 +177,7 @@ func TestJournalVersionMismatch(t *testing.T) {
 	h := testHeader()
 	h.Version = journalVersion + 1
 	path := writeJournal(t, h)
-	if _, _, err := loadJournal(journal.OSFS, path); !errors.Is(err, ErrJournalMismatch) {
+	if _, err := loadJournal(journal.OSFS, path); !errors.Is(err, ErrJournalMismatch) {
 		t.Errorf("err = %v, want ErrJournalMismatch", err)
 	}
 }
@@ -231,18 +241,7 @@ func TestJournalEmptyAndHeaderOnlyRunSemantics(t *testing.T) {
 	})
 	headerOnly := func(t *testing.T) string {
 		t.Helper()
-		path := filepath.Join(t.TempDir(), "j")
-		w, err := journal.OpenAppend(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append((&Runner{Spec: spec}).header()); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
+		return writeJournal(t, (&Runner{Spec: spec}).header())
 	}
 	t.Run("header-only/fresh", func(t *testing.T) {
 		path := headerOnly(t)

@@ -228,7 +228,9 @@ func TestScriptDoesNotRefireAcrossResume(t *testing.T) {
 // directory entry may not survive a power cut.
 func TestOpenAppendSurfacesDirFsyncFailure(t *testing.T) {
 	script := NewScript().FailSyncDir(1)
-	_, err := journal.OpenAppendFS(script.FS(nil), tmpPath(t))
+	_, err := journal.OpenSegmented(script.FS(nil), tmpPath(t), nil, journal.SegmentedOptions{
+		Version: 1, Header: map[string]any{"kind": "header", "v": 1},
+	})
 	if err == nil {
 		t.Fatal("create with failing dir-fsync succeeded")
 	}

@@ -70,9 +70,9 @@ type Options struct {
 	// JournalSegmentBytes rotates the journal into checkpointed
 	// segments (JournalPath.000001, …) once the live tail passes this
 	// many bytes, keeping a week-long campaign's journal bounded and
-	// resume cost O(tail). Zero keeps the single-file layout. A legacy
-	// single-file journal resumed with rotation enabled is migrated
-	// crash-safely.
+	// resume cost O(tail). Zero keeps the journal in one file. A
+	// one-file journal resumed with rotation enabled is checkpointed
+	// into JournalPath.000001 crash-safely.
 	JournalSegmentBytes int
 	// StrictJournal fails the campaign with ErrJournalDegraded on any
 	// journal disk fault (ENOSPC, fsync failure, …). Without it the
@@ -662,34 +662,31 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	remaining := n
 	var emptySince time.Time
 
-	// Journal: load prior state when resuming, refuse to clobber
-	// otherwise, open for append, write the header once. Replayed cells
-	// enter the loop already done and journaled, so the scatter only
-	// sees the missing ones; the restored strike ledger closes the door
-	// on probes whose quarantine predates the restart.
-	var jnl journal.Log = (*journal.Writer)(nil)
+	// Journal: resume or refuse to clobber, then open for append.
+	// Replayed cells enter the loop already done and journaled, so the
+	// scatter only sees the missing ones; the restored strike ledger
+	// closes the door on probes whose quarantine predates the restart.
+	// The writer owns the header: it writes one at the head of every
+	// segment it starts, with the probe ledger compacted to one record
+	// per probe at each checkpoint.
 	nextCommit := 0
 	lastLedger := make(map[string]fleetProbeRecord)
-	journaling := c.opts.JournalPath != ""
-	if journaling {
-		fsys := c.opts.JournalFS
-		if fsys == nil {
-			fsys = journal.OSFS
-		}
-		var state *fleetJournalState
-		var prior *journal.SegmentedState
-		if c.opts.Resume {
-			var err error
-			state, prior, err = loadFleetJournal(fsys, c.opts.JournalPath)
+	jnl, err := journalOwner.Open(journal.Config{
+		FS: c.opts.JournalFS, Path: c.opts.JournalPath, Resume: c.opts.Resume,
+		Strict: c.opts.StrictJournal, Logf: c.opts.Logf,
+		Segments: journal.SegmentedOptions{
+			SegmentBytes: c.opts.JournalSegmentBytes,
+			Version:      fleetJournalVersion,
+			Header:       fleetHeaderFor(spec),
+			Summarize:    summarizeFleetCheckpoint,
+		},
+		Adopt: func(generic *journal.State) error {
+			state, err := convertFleetJournal(generic, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
-		} else if journal.HasState(fsys, c.opts.JournalPath) {
-			return nil, fmt.Errorf("%w: %s", ErrJournalExists, c.opts.JournalPath)
-		}
-		if state != nil {
 			if err := state.header.matches(fleetHeaderFor(spec)); err != nil {
-				return nil, err
+				return err
 			}
 			for _, id := range state.probeIDs() {
 				pr := state.probes[id]
@@ -707,7 +704,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 				if cm.cell != nil {
 					h, err := memhist.DecodeHistogram(cm.cell.Hist)
 					if err != nil {
-						return nil, fmt.Errorf("%w: journaled cell %d: %v", ErrJournalCorrupt, i, err)
+						return fmt.Errorf("%w: journaled cell %d: %v", ErrJournalCorrupt, i, err)
 					}
 					st.status = cellDone
 					st.hist = h
@@ -728,45 +725,19 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			}
 			c.opts.Logf("fleet: resuming %s: %d of %d cells already journaled",
 				c.opts.JournalPath, nextCommit, n)
-		}
-		// The writer owns the header: it writes one at the head of a
-		// fresh journal and of every rotated segment, with the probe
-		// ledger compacted to one record per probe at each checkpoint.
-		sw, err := journal.OpenSegmented(fsys, c.opts.JournalPath, prior, journal.SegmentedOptions{
-			SegmentBytes: c.opts.JournalSegmentBytes,
-			Version:      fleetJournalVersion,
-			Header:       fleetHeaderFor(spec),
-			Summarize:    summarizeFleetCheckpoint,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: opening journal: %w", err)
-		}
-		jnl = sw
-		defer jnl.Close()
-	}
-
-	// journalFault is the disk-fault policy at every journal append: a
-	// scripted crash (disk kill or coordinator disruptor) propagates
-	// verbatim so the chaos harness resumes from whatever hit the disk;
-	// under StrictJournal any other fault aborts typed; otherwise the
-	// journal is dropped, the campaign finishes in memory, and the
-	// report says so — the resume guarantee is never lost silently.
-	journalFault := func(err error) error {
-		switch {
-		case err == nil:
 			return nil
-		case errors.Is(err, journal.ErrCrashed), errors.Is(err, ErrCoordinatorKilled):
-			return err
-		case c.opts.StrictJournal:
-			return fmt.Errorf("%w: %v", ErrJournalDegraded, err)
-		}
-		c.opts.Logf("fleet: journal degraded, finishing in memory: %v", err)
-		report.JournalDegraded = true
-		report.JournalFault = err.Error()
-		jnl.Close()
-		jnl = (*journal.Writer)(nil)
-		return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	defer jnl.Close()
+	// A disk fault that cost the journal is reported, never lost
+	// silently.
+	defer func() {
+		report.JournalFault = jnl.Fault()
+		report.JournalDegraded = report.JournalFault != ""
+	}()
 
 	// abort cancels every outstanding dispatch so late responses are
 	// dropped, then surfaces err.
@@ -814,7 +785,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 						return ErrCoordinatorKilled
 					}
 				}
-				if err := journalFault(jnl.Append(record)); err != nil {
+				if err := jnl.Append(record); err != nil {
 					return err
 				}
 				st.journaled = true
@@ -830,7 +801,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	// probe wins on replay, so re-writing on every change is
 	// idempotent across any number of restarts.
 	syncLedger := func() error {
-		if !journaling {
+		if jnl == nil {
 			return nil
 		}
 		for _, p := range c.tracker.Snapshot() {
@@ -844,7 +815,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			}
 			rec := fleetProbeRecord{Kind: "probe", ID: p.ID, Strikes: p.Strikes,
 				Reasons: p.StrikeReasons, Quarantined: quar}
-			if err := journalFault(jnl.Append(&rec)); err != nil {
+			if err := jnl.Append(&rec); err != nil {
 				return err
 			}
 			lastLedger[p.ID] = rec

@@ -160,7 +160,6 @@ type fleetJournalState struct {
 	// probes holds the final (last-written) health record per probe.
 	probes    map[string]*fleetProbeRecord
 	truncated bool // a torn final record was dropped
-	validLen  int  // byte length of the verified prefix
 }
 
 // probeIDs returns the journaled probe IDs in sorted order, so strike
@@ -174,26 +173,14 @@ func (s *fleetJournalState) probeIDs() []string {
 	return ids
 }
 
-// loadFleetJournal recovers the fleet journal at path — a legacy
-// single file or checkpointed segments — over fsys. It returns the
-// fleet-flavoured state plus the raw recovery, which OpenSegmented
-// needs to continue the journal in place. A missing, empty or
-// all-casualty journal returns (nil, nil, nil): nothing to resume (the
-// same reading the campaign caller shares).
-func loadFleetJournal(fsys journal.FS, path string) (*fleetJournalState, *journal.SegmentedState, error) {
-	seg, err := journal.LoadSegmented(fsys, path, fleetJournalVersion)
-	if err != nil {
-		_, cerr := convertFleetJournal(nil, err)
-		return nil, nil, cerr
-	}
-	if seg == nil {
-		return nil, nil, nil
-	}
-	st, err := convertFleetJournal(seg.State, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, seg, nil
+// journalOwner lends the shared journal open/resume/degrade path the
+// fleet's name and its error sentinels.
+var journalOwner = &journal.Owner{
+	Name:        "fleet",
+	ErrExists:   ErrJournalExists,
+	ErrCorrupt:  ErrJournalCorrupt,
+	ErrMismatch: ErrJournalMismatch,
+	ErrDegraded: ErrJournalDegraded,
 }
 
 // summarizeFleetCheckpoint compacts a rotation checkpoint: cell and
@@ -230,7 +217,7 @@ func summarizeFleetCheckpoint(payloads []json.RawMessage) ([]json.RawMessage, er
 }
 
 // parseFleetJournal verifies and decodes raw fleet journal bytes — the
-// pure core of loadFleetJournal, separated so it can be fuzzed without
+// pure core of resume, separated so it can be fuzzed without
 // a filesystem. Empty input returns (nil, nil); every failure is
 // ErrJournalCorrupt or ErrJournalMismatch, never a panic.
 func parseFleetJournal(raw []byte) (*fleetJournalState, error) {
@@ -243,18 +230,7 @@ func parseFleetJournal(raw []byte) (*fleetJournalState, error) {
 // fleet sentinels.
 func convertFleetJournal(generic *journal.State, err error) (*fleetJournalState, error) {
 	if err != nil {
-		var ce *journal.CorruptError
-		if errors.As(err, &ce) {
-			if ce.Line > 0 {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, ce.Line, ce.Reason)
-			}
-			return nil, fmt.Errorf("%w: %v", ErrJournalCorrupt, ce.Reason)
-		}
-		var ve *journal.VersionError
-		if errors.As(err, &ve) {
-			return nil, fmt.Errorf("%w: journal version %d, want %d", ErrJournalMismatch, ve.Got, ve.Want)
-		}
-		return nil, err
+		return nil, journalOwner.Reflavour(err)
 	}
 	if generic == nil {
 		return nil, nil
@@ -262,11 +238,10 @@ func convertFleetJournal(generic *journal.State, err error) (*fleetJournalState,
 	st := &fleetJournalState{
 		probes:    make(map[string]*fleetProbeRecord),
 		truncated: generic.Truncated,
-		validLen:  generic.ValidLen,
 	}
 	var h fleetHeader
-	if err := json.Unmarshal(generic.Header.Payload, &h); err != nil {
-		return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, generic.Header.Line, err)
+	if err := journalOwner.Decode(generic.Header, &h); err != nil {
+		return nil, err
 	}
 	if h.Cells < 1 || h.Cells > 4096 {
 		return nil, fmt.Errorf("%w: line %d: header declares %d cells", ErrJournalCorrupt, generic.Header.Line, h.Cells)
@@ -276,24 +251,24 @@ func convertFleetJournal(generic *journal.State, err error) (*fleetJournalState,
 		switch rec.Kind {
 		case "cell":
 			var c fleetCellRecord
-			if err := json.Unmarshal(rec.Payload, &c); err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, rec.Line, err)
+			if err := journalOwner.Decode(rec, &c); err != nil {
+				return nil, err
 			}
 			if err := st.admit(fleetCommit{cell: &c}, c.Cell, rec.Line); err != nil {
 				return nil, err
 			}
 		case "gap":
 			var g fleetGapRecord
-			if err := json.Unmarshal(rec.Payload, &g); err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, rec.Line, err)
+			if err := journalOwner.Decode(rec, &g); err != nil {
+				return nil, err
 			}
 			if err := st.admit(fleetCommit{gap: &g}, g.Cell, rec.Line); err != nil {
 				return nil, err
 			}
 		case "probe":
 			var p fleetProbeRecord
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrJournalCorrupt, rec.Line, err)
+			if err := journalOwner.Decode(rec, &p); err != nil {
+				return nil, err
 			}
 			if p.ID == "" {
 				return nil, fmt.Errorf("%w: line %d: probe record without an id", ErrJournalCorrupt, rec.Line)

@@ -41,22 +41,33 @@ func cellBody(t *testing.T, spec Spec, i int) json.RawMessage {
 	return b
 }
 
+// writeFleetJournal frames records into a fresh file as they are, so
+// tests can build any structure, valid or not.
 func writeFleetJournal(t *testing.T, records ...any) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "fleet.journal")
-	w, err := journal.OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var raw []byte
 	for _, r := range records {
-		if err := w.Append(r); err != nil {
+		payload, err := json.Marshal(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		raw = append(raw, journal.Frame(payload)...)
 	}
-	if err := w.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// loadFleetJournal recovers the fleet journal at path the way a
+// resuming coordinator does.
+func loadFleetJournal(fsys journal.FS, path string) (*fleetJournalState, error) {
+	seg, err := journal.LoadSegmented(fsys, path, fleetJournalVersion)
+	if err != nil || seg == nil {
+		return nil, journalOwner.Reflavour(err)
+	}
+	return convertFleetJournal(seg.State, nil)
 }
 
 func TestFleetJournalRoundTrip(t *testing.T) {
@@ -68,7 +79,7 @@ func TestFleetJournalRoundTrip(t *testing.T) {
 		&fleetGapRecord{Kind: "gap", Cell: 1, Reason: "fleet: no live probes"},
 		&fleetProbeRecord{Kind: "probe", ID: "probe-b", Strikes: 3, Reasons: []string{"flap"}, Quarantined: true},
 	)
-	st, _, err := loadFleetJournal(journal.OSFS, path)
+	st, err := loadFleetJournal(journal.OSFS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestFleetJournalRoundTrip(t *testing.T) {
 }
 
 func TestFleetJournalMissingAndEmpty(t *testing.T) {
-	st, _, err := loadFleetJournal(journal.OSFS, filepath.Join(t.TempDir(), "nope"))
+	st, err := loadFleetJournal(journal.OSFS, filepath.Join(t.TempDir(), "nope"))
 	if st != nil || err != nil {
 		t.Errorf("missing file: (%v, %v)", st, err)
 	}
@@ -129,7 +140,11 @@ func TestFleetJournalTornTail(t *testing.T) {
 	}
 	// The verified prefix must itself re-parse cleanly — that is what
 	// the resume path truncates to before appending.
-	again, err := parseFleetJournal(raw[:st.validLen])
+	generic, err := journal.Parse(raw[:len(raw)-7], fleetJournalVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := parseFleetJournal(raw[:generic.ValidLen])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +185,7 @@ func TestFleetJournalCanonicalOrderEnforced(t *testing.T) {
 	}
 	for _, tc := range cases[:2] {
 		path := writeFleetJournal(t, fleetHeaderFor(spec), tc.rec)
-		if _, _, err := loadFleetJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
+		if _, err := loadFleetJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
 			t.Errorf("%s: err = %v, want ErrJournalCorrupt", tc.name, err)
 		}
 	}
@@ -178,7 +193,7 @@ func TestFleetJournalCanonicalOrderEnforced(t *testing.T) {
 		&fleetCellRecord{Kind: "cell", Cell: 0, Probe: "p", Hist: cellBody(t, spec, 0)},
 		&fleetGapRecord{Kind: "gap", Cell: 0, Reason: "x"},
 	)
-	if _, _, err := loadFleetJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
+	if _, err := loadFleetJournal(journal.OSFS, path); !errors.Is(err, ErrJournalCorrupt) {
 		t.Errorf("duplicate index: err = %v, want ErrJournalCorrupt", err)
 	}
 }
@@ -188,7 +203,7 @@ func TestFleetJournalVersionSkewNamesBothVersions(t *testing.T) {
 	h := fleetHeaderFor(spec)
 	h.Version = fleetJournalVersion + 3
 	path := writeFleetJournal(t, h)
-	_, _, err := loadFleetJournal(journal.OSFS, path)
+	_, err := loadFleetJournal(journal.OSFS, path)
 	if !errors.Is(err, ErrJournalMismatch) {
 		t.Fatalf("err = %v, want ErrJournalMismatch", err)
 	}

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,8 +17,7 @@ type File interface {
 }
 
 // FS is the filesystem seam under every journal: the small set of
-// operations the single-file Writer, the SegmentedWriter and the fsck
-// surface need. Production code uses OSFS; internal/faultdisk wraps an
+// operations the SegmentedWriter and the fsck surface need. Production code uses OSFS; internal/faultdisk wraps an
 // FS to inject ENOSPC, fsync failures, torn writes, read-time bit rot
 // and scripted kills at any operation.
 type FS interface {
@@ -72,24 +70,4 @@ func (osFS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// openAppendFile opens path for appending on fsys, creating it if
-// missing. When the open created the file, the parent directory is
-// fsynced too, so a crash immediately after creation cannot lose the
-// directory entry along with the empty file.
-func openAppendFile(fsys FS, path string) (File, error) {
-	_, serr := fsys.Stat(path)
-	existed := serr == nil
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if !existed {
-		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("journal: fsyncing directory after creating %s: %w", path, err)
-		}
-	}
-	return f, nil
 }

@@ -1,16 +1,12 @@
 package journal
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
 // The fsck surface: structural verification, conservative repair and
-// offline compaction over any journal this package can write — legacy
-// single files and checkpointed segments alike. cmd/memjournal is a
+// offline compaction over any journal this package can write, whatever
+// its number of segments. cmd/memjournal is a
 // thin shell over these; the chaos suites call them directly to prove
 // every journal they produce verifies clean and every injected fault
 // yields a typed verdict.
@@ -21,17 +17,19 @@ type FileVerdict int
 const (
 	// VerdictClean: every record verifies, structure is sound.
 	VerdictClean FileVerdict = iota
-	// VerdictEmpty: zero bytes — created but never written. Harmless.
+	// VerdictEmpty: zero bytes with nothing older holding bytes —
+	// created but never written. Harmless.
 	VerdictEmpty
 	// VerdictTornTail: all records verify except a torn final one, the
 	// expected signature of a crash mid-write. Repair truncates it.
 	VerdictTornTail
-	// VerdictCasualty: a rotation casualty — a segment whose header or
-	// checkpoint never became durable. Recovery ignores it; repair
-	// quarantines it.
+	// VerdictCasualty: a rotation casualty — a segment newer than the
+	// oldest one holding bytes whose header or checkpoint never became
+	// durable. Recovery ignores it; repair quarantines it.
 	VerdictCasualty
 	// VerdictCorrupt: damage before the final record, a missing header
-	// on the legacy file, or broken checkpoint structure. Never
+	// on the oldest segment holding bytes, or broken checkpoint
+	// structure. Never
 	// produced by a crash alone; repair quarantines, resume refuses.
 	VerdictCorrupt
 )
@@ -67,7 +65,7 @@ func (v FileVerdict) Severity() int {
 // FileReport is the verdict on one journal file.
 type FileReport struct {
 	Path string
-	// Seg is the file's segment index; 0 is the legacy single file.
+	// Seg is the file's segment index; 0 is the file at base itself.
 	Seg  int
 	Size int
 	// Version is the header's format version when one decoded.
@@ -104,105 +102,42 @@ func (r *VerifyReport) Worst() FileVerdict {
 	return worst
 }
 
-// Verify walks every file of the journal at base — legacy single file
-// and segments — and reports a per-file verdict. It is version-soft
-// (headers are decoded and reported, not enforced) so it can audit
-// journals other packages own. The error return is for real I/O
-// failures or a journal with no files at all; damage is reported in
+// Verify walks every segment of the journal at base and reports a
+// per-file verdict under the same trust rule recovery applies. It is
+// version-soft (headers are decoded and reported, not enforced) so it
+// can audit journals other packages own. The error return is for real
+// I/O failures or a journal with no files at all; damage is reported in
 // verdicts, never as an error.
 func Verify(fsys FS, base string) (*VerifyReport, error) {
 	if fsys == nil {
 		fsys = OSFS
 	}
-	rep := &VerifyReport{Base: base}
-	segs := listSegments(fsys, base)
-	legacyRaw, lerr := fsys.ReadFile(base)
-	if lerr != nil && !os.IsNotExist(lerr) {
-		return nil, lerr
+	segs, err := readSegments(fsys, base)
+	if err != nil {
+		return nil, err
 	}
-	if lerr == nil {
-		rep.Files = append(rep.Files, verifyFile(base, 0, legacyRaw, false))
-	}
-	legacyBytes := len(legacyRaw) > 0
-	for i, seg := range segs {
-		raw, err := fsys.ReadFile(seg.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, err
-		}
-		eligibleRoot := i == 0 && !legacyBytes
-		fr := verifyFile(seg.path, seg.idx, raw, eligibleRoot)
-		rep.Files = append(rep.Files, fr)
-	}
-	if len(rep.Files) == 0 {
+	if len(segs) == 0 {
 		return nil, fmt.Errorf("journal: no journal at %s", base)
 	}
+	rep := &VerifyReport{Base: base}
+	oldest := true
+	for _, s := range segs {
+		ss, verdict, err := s.judge(AnyVersion, oldest)
+		oldest = oldest && len(s.raw) == 0
+		fr := FileReport{Path: s.path, Seg: s.idx, Size: len(s.raw), Verdict: verdict}
+		if err != nil {
+			fr.Detail = err.Error()
+		}
+		if ss != nil {
+			fr.Version, fr.ValidLen, fr.Records = ss.Version, ss.ValidLen, len(ss.Records)
+			if ss.checkpointed >= 0 {
+				fr.Checkpoint, fr.CheckpointRecords = true, ss.checkpointed
+				fr.Records -= ss.checkpointed
+			}
+		}
+		rep.Files = append(rep.Files, fr)
+	}
 	return rep, nil
-}
-
-// verifyFile classifies one file. For a segment (seg >= 1),
-// eligibleRoot reports whether recovery would trust it without a
-// checkpoint — only the oldest segment with no legacy bytes beneath it.
-func verifyFile(path string, seg int, raw []byte, eligibleRoot bool) FileReport {
-	fr := FileReport{Path: path, Seg: seg, Size: len(raw)}
-	if len(raw) == 0 {
-		fr.Verdict = VerdictEmpty
-		if seg >= 1 {
-			fr.Verdict = VerdictCasualty
-			fr.Detail = "empty segment (crash between create and header write)"
-		}
-		return fr
-	}
-	st, err := Parse(raw, AnyVersion)
-	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) && ce.Line == 0 && seg >= 1 {
-			fr.Verdict = VerdictCasualty
-			fr.Detail = "torn header write (rotation casualty)"
-			return fr
-		}
-		fr.Verdict = VerdictCorrupt
-		fr.Detail = err.Error()
-		return fr
-	}
-	fr.Version = st.Version
-	fr.ValidLen = st.ValidLen
-	fr.Checkpoint = len(st.Records) > 0 && st.Records[0].Kind == "checkpoint"
-	if fr.Checkpoint {
-		var ck checkpointRecord
-		if jerr := json.Unmarshal(st.Records[0].Payload, &ck); jerr != nil {
-			fr.Verdict = VerdictCorrupt
-			fr.Detail = fmt.Sprintf("undecodable checkpoint: %v", jerr)
-			return fr
-		}
-		fr.CheckpointRecords = len(ck.Records)
-	}
-	if cerr := expandCheckpoint(&State{Header: st.Header, Records: append([]Record(nil), st.Records...)}); cerr != nil {
-		fr.Verdict = VerdictCorrupt
-		fr.Detail = cerr.Error()
-		return fr
-	}
-	fr.Records = len(st.Records)
-	if fr.Checkpoint {
-		fr.Records--
-	}
-	if seg >= 1 && !fr.Checkpoint && !eligibleRoot {
-		fr.Verdict = VerdictCasualty
-		fr.Detail = "segment without its checkpoint (crash before the checkpoint landed)"
-		if st.Truncated {
-			fr.Detail = "torn checkpoint write (rotation casualty)"
-		}
-		return fr
-	}
-	if st.Truncated {
-		fr.Verdict = VerdictTornTail
-		fr.Detail = fmt.Sprintf("torn final record dropped (%d of %d bytes verify)", st.ValidLen, len(raw))
-		return fr
-	}
-	fr.Verdict = VerdictClean
-	return fr
 }
 
 // RepairReport records what Repair changed.
@@ -218,7 +153,7 @@ type RepairReport struct {
 // that cannot destroy verified records: torn tails are truncated to
 // their verified prefix, casualties and corrupt files are renamed
 // aside to <path>.bad for post-mortem. Valid bytes are never
-// rewritten. Empty legacy files are left alone.
+// rewritten. Empty files are left alone.
 func Repair(fsys FS, base string) (*RepairReport, error) {
 	if fsys == nil {
 		fsys = OSFS
@@ -274,47 +209,20 @@ func Compact(fsys FS, base string, wantVersion int) (*CompactReport, error) {
 	if st == nil {
 		return nil, fmt.Errorf("journal: nothing to compact at %s", base)
 	}
-	next := st.Seg + 1
-	path := segmentPath(base, next)
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
 	// The header goes down byte-for-byte as it was framed originally —
 	// compaction has no vocabulary of its own.
-	if _, err := f.Write(Frame(st.Header.Payload)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	ck, err := json.Marshal(checkpointRecord{Kind: "checkpoint", Records: payloadsOf(st.Records)})
+	w := &SegmentedWriter{fsys: fsys, base: base, header: st.Header.Payload}
+	ckpt, err := w.checkpoint(st.Records)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if _, err := f.Write(Frame(ck)); err != nil {
-		f.Close()
+	if err := w.startSegment(st.Seg+1, ckpt); err != nil {
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
-	rep := &CompactReport{Path: path, Records: len(st.Records), DroppedTornTail: st.Truncated}
-	remove := append([]string(nil), st.Dead...)
-	if st.Path != path {
-		remove = append(remove, st.Path)
-	}
-	for _, p := range remove {
-		if err := fsys.Remove(p); err != nil && !os.IsNotExist(err) {
-			return rep, err
-		}
-		rep.Removed = append(rep.Removed, p)
-	}
-	return rep, nil
+	rep := &CompactReport{Path: w.path, Records: len(st.Records), DroppedTornTail: st.Truncated}
+	rep.Removed, err = w.retire(append(st.Dead, st.Path))
+	return rep, err
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -233,6 +234,34 @@ func TestCompact(t *testing.T) {
 	}
 	w.Close()
 	wantNs(t, mustLoad(t, base), len(before)+1)
+}
+
+// A rotation casualty at the index Compact writes to is rebuilt in
+// place: Compact must not delete the segment it just compacted into.
+func TestCompactOverCasualtyKeepsItsOutput(t *testing.T) {
+	base := buildSegmented(t, 10)
+	st := mustLoad(t, base)
+	before := recordNs(t, st)
+	casualty := segmentPath(base, st.Seg+1)
+	if err := os.WriteFile(casualty, Frame(mustJSON(t, segHeader())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cr, err := Compact(OSFS, base, segTestVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Path != casualty {
+		t.Fatalf("compacted into %s, want %s", cr.Path, casualty)
+	}
+	for _, p := range cr.Removed {
+		if p == cr.Path {
+			t.Fatalf("Removed = %v lists the compacted segment", cr.Removed)
+		}
+	}
+	after := mustLoad(t, base)
+	if got := recordNs(t, after); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("records after compact = %v, want %v", got, before)
+	}
 }
 
 func TestCompactLegacyAndTornTail(t *testing.T) {

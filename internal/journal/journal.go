@@ -14,11 +14,19 @@
 // from lies, and a header from a different format version is refused
 // with a *VersionError naming both versions.
 //
+// A journal is a run of segments: segment 0 is the file at the
+// journal's base path, segment N the file base.NNNNNN. One layout rule
+// covers every journal written here — a fresh journal starts at segment
+// 0, or at segment 1 when rotation is on — and one trust rule covers
+// every journal read (see LoadSegmented). SegmentedWriter is the only
+// writer; Owner is the one open/resume/degrade path its owners share.
+//
 // internal/campaign journals measurement cells through this package
 // (its wire format predates the extraction and is preserved byte for
 // byte); internal/fleet journals coordinator campaigns. Both keep
-// their own record vocabularies — this package owns only framing,
-// integrity, ordering and version gating.
+// their own record vocabularies, header checks and sentinels — this
+// package owns framing, integrity, ordering, version gating, layout and
+// the disk-fault policy.
 package journal
 
 import (
@@ -26,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"strings"
 )
 
@@ -136,7 +143,7 @@ func ParseLine(line string) (kind string, payload []byte, err error) {
 	return probe.Kind, payload, nil
 }
 
-// AnyVersion, passed to Parse or LoadSegmented as wantVersion, accepts
+// AnyVersion, passed to Parse, LoadSegmented or Compact as wantVersion, accepts
 // every header version and reports it in State.Version. It is the fsck
 // surface's setting: cmd/memjournal audits journals it does not own,
 // so it verifies structure and integrity without enforcing a record
@@ -204,150 +211,4 @@ func Parse(raw []byte, wantVersion int) (*State, error) {
 	}
 	st.Version = h.Version
 	return st, nil
-}
-
-// Load reads and verifies a journal file. The contract, shared by
-// every caller (campaign and fleet resume alike):
-//
-//   - missing file  → (nil, nil): nothing to resume, not an error
-//   - zero-byte file → (nil, nil): created but never written; a fresh
-//     run may claim it
-//   - header-only file → a valid *State with no records: the run
-//     crashed after the header landed, and resuming it replays nothing
-//
-// HasState applies the same reading to the "does a journal already
-// exist" clobber check, so the two sides can never disagree.
-func Load(path string, wantVersion int) (*State, error) {
-	return LoadFS(OSFS, path, wantVersion)
-}
-
-// LoadFS is Load over an explicit filesystem.
-func LoadFS(fsys FS, path string, wantVersion int) (*State, error) {
-	raw, err := fsys.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return Parse(raw, wantVersion)
-}
-
-// HasState reports whether base already holds journal bytes a fresh
-// (non-resume) run would clobber: a non-empty legacy single file, or
-// any non-empty segment. Zero-byte files do not count — a journal that
-// was created but never written resumes as nothing and may be claimed
-// by a fresh run, matching Load's reading of the same bytes.
-func HasState(fsys FS, base string) bool {
-	if fsys == nil {
-		fsys = OSFS
-	}
-	if fi, err := fsys.Stat(base); err == nil && fi.Size() > 0 {
-		return true
-	}
-	for _, seg := range listSegments(fsys, base) {
-		if fi, err := fsys.Stat(seg.path); err == nil && fi.Size() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Log is the append surface shared by the single-file Writer and the
-// SegmentedWriter, so owning packages journal through one seam
-// regardless of on-disk layout. Every implementation is
-// nil-receiver safe: a typed nil means "journaling disabled" and
-// accepts every call as a no-op, so callers hold
-//
-//	var jnl journal.Log = (*journal.Writer)(nil)
-//
-// rather than a nil interface.
-type Log interface {
-	// Append marshals, frames, writes and fsyncs one record.
-	Append(record any) error
-	// WriteRaw writes pre-framed bytes without syncing — the fault
-	// injectors' seam for torn records and crash windows.
-	WriteRaw(b []byte) error
-	// Sync flushes written records to stable storage.
-	Sync() error
-	// Close closes the underlying file.
-	Close() error
-}
-
-var (
-	_ Log = (*Writer)(nil)
-	_ Log = (*SegmentedWriter)(nil)
-)
-
-// Writer appends CRC-framed records to an open file, syncing after
-// every Append so a kill -9 loses at most the record being written.
-// A nil Writer (journaling disabled) accepts every call as a no-op.
-type Writer struct {
-	f File
-}
-
-// NewWriter wraps an open file.
-func NewWriter(f *os.File) *Writer { return &Writer{f: f} }
-
-// OpenAppend opens (creating if needed) a journal file for appending.
-// When the open creates the file, the parent directory is fsynced too,
-// so a crash immediately after creation cannot lose the file itself.
-func OpenAppend(path string) (*Writer, error) {
-	return OpenAppendFS(OSFS, path)
-}
-
-// OpenAppendFS is OpenAppend over an explicit filesystem.
-func OpenAppendFS(fsys FS, path string) (*Writer, error) {
-	if fsys == nil {
-		fsys = OSFS
-	}
-	f, err := openAppendFile(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{f: f}, nil
-}
-
-// Append marshals, frames, writes and fsyncs one record.
-func (w *Writer) Append(record any) error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	payload, err := json.Marshal(record)
-	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
-	}
-	if err := w.WriteRaw(Frame(payload)); err != nil {
-		return err
-	}
-	return w.Sync()
-}
-
-// WriteRaw writes pre-framed bytes without syncing — the seam fault
-// injectors use to model crashes between write and fsync, and to tear
-// a final record. Production callers want Append.
-func (w *Writer) WriteRaw(b []byte) error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	if _, err := w.f.Write(b); err != nil {
-		return fmt.Errorf("journal: appending record: %w", err)
-	}
-	return nil
-}
-
-// Sync flushes written records to stable storage.
-func (w *Writer) Sync() error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
-}
-
-// Close closes the underlying file.
-func (w *Writer) Close() error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	return w.f.Close()
 }

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -21,22 +22,33 @@ type item struct {
 	Key  string `json:"key"`
 }
 
+// writeRecords frames records into a fresh file as they are — no
+// header of the writer's own — so tests can build any structure.
 func writeRecords(t *testing.T, records ...any) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "j")
-	w, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var raw []byte
 	for _, r := range records {
-		if err := w.Append(r); err != nil {
+		payload, err := json.Marshal(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		raw = append(raw, Frame(payload)...)
 	}
-	if err := w.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "j")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// loadFile parses the file at path.
+func loadFile(t *testing.T, path string, wantVersion int) (*State, error) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Parse(raw, wantVersion)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -45,7 +57,7 @@ func TestRoundTrip(t *testing.T) {
 		&item{Kind: "cell", Key: "a"},
 		&item{Kind: "gap", Key: "b"},
 	)
-	st, err := Load(path, 1)
+	st, err := loadFile(t, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +86,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestMissingAndEmpty(t *testing.T) {
-	st, err := Load(filepath.Join(t.TempDir(), "nope"), 1)
-	if st != nil || err != nil {
-		t.Errorf("missing file: (%v, %v)", st, err)
+	ss, err := LoadSegmented(OSFS, filepath.Join(t.TempDir(), "nope"), 1)
+	if ss != nil || err != nil {
+		t.Errorf("missing file: (%v, %v)", ss, err)
 	}
-	st, err = Parse(nil, 1)
+	st, err := Parse(nil, 1)
 	if st != nil || err != nil {
 		t.Errorf("empty input: (%v, %v)", st, err)
 	}
@@ -246,32 +258,30 @@ func TestParseLineRejects(t *testing.T) {
 	}
 }
 
-// A nil Writer (journaling disabled) must accept every call.
+// A nil writer (journaling disabled) must accept every call.
 func TestNilWriterIsNoOp(t *testing.T) {
-	var w *Writer
+	var w *SegmentedWriter
 	if err := w.Append(&item{Kind: "cell"}); err != nil {
 		t.Errorf("nil Append: %v", err)
 	}
 	if err := w.WriteRaw([]byte("x")); err != nil {
 		t.Errorf("nil WriteRaw: %v", err)
 	}
-	if err := w.Sync(); err != nil {
-		t.Errorf("nil Sync: %v", err)
-	}
 	if err := w.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
+	}
+	if f := w.Fault(); f != "" {
+		t.Errorf("nil Fault = %q", f)
 	}
 }
 
 // WriteRaw of a half frame models a crash mid-write; the torn tail must
-// be dropped on the next load and ValidLen must allow clean truncation.
+// be dropped on the next load, and resuming truncates it away.
 func TestWriteRawTearAndRecover(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j")
-	w, err := OpenAppend(path)
+	opts := SegmentedOptions{Version: 1, Header: &header{Kind: "header", Version: 1}}
+	w, err := OpenSegmented(OSFS, path, nil, opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(&header{Kind: "header", Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	frame := Frame([]byte(`{"kind":"cell","key":"a"}`))
@@ -281,17 +291,14 @@ func TestWriteRawTearAndRecover(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(path, 1)
+	st, err := LoadSegmented(OSFS, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Truncated || len(st.Records) != 0 {
 		t.Fatalf("torn journal: truncated=%v records=%d", st.Truncated, len(st.Records))
 	}
-	if err := os.Truncate(path, int64(st.ValidLen)); err != nil {
-		t.Fatal(err)
-	}
-	w, err = OpenAppend(path)
+	w, err = OpenSegmented(OSFS, path, st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +308,11 @@ func TestWriteRawTearAndRecover(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err = Load(path, 1)
+	again, err := loadFile(t, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Truncated || len(st.Records) != 1 {
-		t.Errorf("after truncate+append: truncated=%v records=%d", st.Truncated, len(st.Records))
+	if again.Truncated || len(again.Records) != 1 {
+		t.Errorf("after truncate+append: truncated=%v records=%d", again.Truncated, len(again.Records))
 	}
 }

@@ -7,21 +7,22 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
-// Segmented journals bound a long campaign's resume cost. The live log
-// rotates at a byte budget into numbered segments (base.000001,
-// base.000002, …) and each new segment opens with the owner's header
-// followed by a CHECKPOINT record — a CRC-checked bundle of every
-// record committed so far (optionally compacted by a Summarize hook).
-// Only the newest segment is ever live; older segments and any
-// migrated-away legacy single file are fully summarized by the newest
-// checkpoint and removed. Recovery therefore reads one segment: the
-// newest one whose checkpoint landed durably. A crash inside the
-// rotation window leaves either a newer segment without its checkpoint
-// (a casualty: ignored and deleted) or an older segment not yet
-// removed (superseded: ignored and deleted) — never a state where two
-// segments disagree about committed records.
+// Segments bound a long campaign's resume cost. With rotation on, the
+// live segment rotates at a byte budget into its successor, which opens
+// with the owner's header followed by a CHECKPOINT record — a
+// CRC-checked bundle of every record committed so far (optionally
+// compacted by a Summarize hook). Only the newest segment is ever live;
+// older segments are fully summarized by its checkpoint and removed.
+// Without rotation the journal is a single segment: segment 0, the file
+// at base, carrying no checkpoint. A crash inside a rotation window
+// leaves either a newer segment without its checkpoint (a casualty:
+// ignored and deleted) or an older segment not yet removed (superseded:
+// ignored and deleted) — never two segments that disagree about
+// committed records.
 
 // checkpointRecord is the rotation summary: the raw payloads of every
 // record committed before this segment's tail, replayed in order on
@@ -36,42 +37,74 @@ type checkpointRecord struct {
 // 8 hex CRC digits, a space, the payload, '\n'.
 func lineLen(payload []byte) int { return 8 + 1 + len(payload) + 1 }
 
-// segmentPath names segment idx of the journal at base.
+// segmentPath names segment idx of the journal at base: segment 0 is
+// base itself.
 func segmentPath(base string, idx int) string {
+	if idx == 0 {
+		return base
+	}
 	return fmt.Sprintf("%s.%06d", base, idx)
 }
 
-type segRef struct {
+// segment is one segment file of a journal; raw holds its bytes once
+// read.
+type segment struct {
 	path string
 	idx  int
+	raw  []byte
 }
 
-// listSegments finds base's segment files in ascending index order.
-// Quarantined files (.bad) and anything else that is not exactly six
-// digits are not segments.
-func listSegments(fsys FS, base string) []segRef {
-	matches, err := fsys.Glob(base + ".??????")
-	if err != nil {
-		return nil
+// listSegments finds base's segments in ascending index order: base
+// itself when it exists, then every base.NNNNNN. Quarantined files
+// (.bad), base.000000 and anything else that is not exactly six digits
+// are not segments.
+func listSegments(fsys FS, base string) []segment {
+	var segs []segment
+	if _, err := fsys.Stat(base); err == nil {
+		segs = append(segs, segment{path: base})
 	}
-	var segs []segRef
+	// Glob fails only on a malformed pattern, and this one is fixed.
+	matches, _ := fsys.Glob(base + ".??????")
 	for _, m := range matches {
 		suffix := m[len(m)-6:]
-		idx, ok := 0, true
-		for _, c := range suffix {
-			if c < '0' || c > '9' {
-				ok = false
-				break
-			}
-			idx = idx*10 + int(c-'0')
+		idx, _ := strconv.Atoi(suffix)
+		if strings.Trim(suffix, "0123456789") == "" && idx > 0 {
+			segs = append(segs, segment{path: m, idx: idx})
 		}
-		if !ok || idx == 0 {
-			continue
-		}
-		segs = append(segs, segRef{path: m, idx: idx})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].idx < segs[j].idx })
 	return segs
+}
+
+// hasState reports whether base already holds journal bytes a fresh
+// (non-resume) run would clobber: any non-empty segment. Zero-byte
+// files do not count — a journal that was created but never written
+// resumes as nothing and may be claimed by a fresh run, matching
+// LoadSegmented's reading of the same bytes.
+func hasState(fsys FS, base string) bool {
+	for _, seg := range listSegments(fsys, base) {
+		if fi, err := fsys.Stat(seg.path); err == nil && fi.Size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// readSegments reads every segment of the journal at base, oldest first.
+func readSegments(fsys FS, base string) ([]segment, error) {
+	var segs []segment
+	for _, s := range listSegments(fsys, base) {
+		var err error
+		s.raw, err = fsys.ReadFile(s.path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		segs = append(segs, s)
+	}
+	return segs, nil
 }
 
 // expandCheckpoint replaces a leading checkpoint record with the
@@ -80,9 +113,6 @@ func listSegments(fsys FS, base string) []segRef {
 // anywhere but immediately after the header, or one bundling a header
 // or another checkpoint, is corruption.
 func expandCheckpoint(st *State) error {
-	if st == nil {
-		return nil
-	}
 	for i, rec := range st.Records {
 		if rec.Kind == "checkpoint" && i != 0 {
 			return &CorruptError{Line: rec.Line, Reason: "checkpoint record after the segment tail began"}
@@ -118,8 +148,8 @@ func expandCheckpoint(st *State) error {
 // tail is and which files recovery superseded.
 type SegmentedState struct {
 	*State
-	// Seg is the segment the state was recovered from; 0 means the
-	// legacy single file at base.
+	// Seg is the segment the state was recovered from; 0 is the file at
+	// base itself.
 	Seg int
 	// Path is the file holding the recovered tail.
 	Path string
@@ -132,131 +162,106 @@ type SegmentedState struct {
 	// trailing '\n' (the crash hit between payload and newline).
 	// OpenSegmented restores the byte before appending.
 	NeedsNewline bool
-	// Dead lists files this recovery superseded: rotation casualties
-	// newer than the chosen segment, fully-summarized older segments,
-	// and a migrated-away legacy file. OpenSegmented removes them.
+	// Dead lists files this recovery superseded: crash debris newer than
+	// the chosen segment and every older segment. OpenSegmented removes
+	// them.
 	Dead []string
+	// checkpointed counts the records Path's checkpoint bundles; -1
+	// when the segment carries no checkpoint.
+	checkpointed int
 }
 
-// finishSegState computes tail geometry, expands the checkpoint and
-// wraps st.
-func finishSegState(st *State, seg int, path string, endsNewline bool, dead []string) (*SegmentedState, error) {
-	ss := &SegmentedState{State: st, Seg: seg, Path: path, Dead: dead}
+// judge applies the one trust rule to a segment. oldest reports that no
+// older segment holds bytes. A segment that parses and either carries a
+// checkpoint or is the oldest segment holding bytes is a recovery root,
+// verdict clean or torn-tail. An empty segment is harmless when oldest
+// (created, never written) and a casualty otherwise. A segment newer
+// than the oldest one holding bytes whose header or checkpoint never
+// landed is a rotation casualty. Anything else is corruption. The state
+// is returned whenever the segment parsed; the error says why a segment
+// is not clean.
+func (s segment) judge(wantVersion int, oldest bool) (*SegmentedState, FileVerdict, error) {
+	if len(s.raw) == 0 {
+		if oldest {
+			return nil, VerdictEmpty, nil
+		}
+		return nil, VerdictCasualty, errors.New("empty segment (crash between create and header write)")
+	}
+	st, err := Parse(s.raw, wantVersion)
+	if err != nil {
+		var ce *CorruptError
+		if errors.As(err, &ce) && ce.Line == 0 && !oldest {
+			return nil, VerdictCasualty, errors.New("torn header write (rotation casualty)")
+		}
+		return nil, VerdictCorrupt, err
+	}
+	ss := &SegmentedState{State: st, Seg: s.idx, Path: s.path, checkpointed: -1,
+		NeedsNewline: !st.Truncated && s.raw[len(s.raw)-1] != '\n'}
 	head := lineLen(st.Header.Payload)
-	if len(st.Records) > 0 && st.Records[0].Kind == "checkpoint" {
+	hasCkpt := len(st.Records) > 0 && st.Records[0].Kind == "checkpoint"
+	if hasCkpt {
 		head += lineLen(st.Records[0].Payload)
 	}
-	ss.TailLen = st.ValidLen - head
-	if ss.TailLen < 0 {
-		// The header or checkpoint is the final record and lost its
-		// newline; the tail is empty either way.
-		ss.TailLen = 0
-	}
-	ss.NeedsNewline = !st.Truncated && !endsNewline
+	// Negative when the header or checkpoint is the final record and
+	// lost its newline; the tail is empty either way.
+	ss.TailLen = max(st.ValidLen-head, 0)
+	tail := len(st.Records)
 	if err := expandCheckpoint(st); err != nil {
-		return nil, err
+		return nil, VerdictCorrupt, err
 	}
-	return ss, nil
+	if hasCkpt {
+		ss.checkpointed = len(st.Records) - (tail - 1)
+	}
+	switch {
+	case ss.checkpointed < 0 && !oldest && st.Truncated:
+		return ss, VerdictCasualty, errors.New("torn checkpoint write (rotation casualty)")
+	case ss.checkpointed < 0 && !oldest:
+		return ss, VerdictCasualty, errors.New("segment without its checkpoint (crash before the checkpoint landed)")
+	case st.Truncated:
+		return ss, VerdictTornTail, fmt.Errorf("torn final record dropped (%d of %d bytes verify)", st.ValidLen, len(s.raw))
+	}
+	return ss, VerdictClean, nil
 }
 
-// LoadSegmented recovers the journal at base, whatever its layout:
-// a legacy single file, segments, or the debris of a crash inside a
-// rotation or migration window. The rules, newest segment first:
-//
-//   - a segment parsing cleanly with its checkpoint in place is the
-//     recovery root — everything older is summarized by it
-//   - a checkpoint-less segment is only trusted when it is the oldest
-//     on disk and no legacy bytes predate it (a fresh segmented
-//     journal's first segment); anywhere else it is a rotation
-//     casualty — its directory entry became durable before its
-//     checkpoint did — and is marked Dead, not fatal
-//   - an empty segment or one whose header write itself was torn is
-//     likewise a casualty
-//   - any other corruption, and any version mismatch, fails loudly
-//   - if no segment is recoverable but legacy bytes exist, the
-//     migration never became durable and the legacy file is still the
-//     truth; with nothing valid anywhere, (nil, nil)
-//
-// Like Load, zero-byte and missing files mean "nothing to resume".
+// LoadSegmented recovers the journal at base — one segment or many, or
+// the debris of a crash inside a rotation window — under the one trust
+// rule (see judge), newest segment first: the first recovery root wins;
+// the debris newer than it and every segment older than it are Dead.
+// Corruption and version mismatches in a scanned segment fail loudly.
+// Zero-byte and missing files mean "nothing to resume": with no segment
+// holding bytes the result is (nil, nil).
 func LoadSegmented(fsys FS, base string, wantVersion int) (*SegmentedState, error) {
 	if fsys == nil {
 		fsys = OSFS
 	}
-	legacyRaw, lerr := fsys.ReadFile(base)
-	if lerr != nil && !os.IsNotExist(lerr) {
-		return nil, lerr
+	segs, err := readSegments(fsys, base)
+	if err != nil {
+		return nil, err
 	}
-	legacyExists := lerr == nil
-	legacyBytes := len(legacyRaw) > 0
-
-	segs := listSegments(fsys, base)
-	if len(segs) == 0 {
-		if !legacyBytes {
-			return nil, nil
+	first := len(segs) // the oldest segment holding bytes
+	for i, s := range segs {
+		if len(s.raw) > 0 {
+			first = i
+			break
 		}
-		st, err := Parse(legacyRaw, wantVersion)
-		if err != nil {
-			return nil, err
-		}
-		return finishSegState(st, 0, base, legacyRaw[len(legacyRaw)-1] == '\n', nil)
 	}
-
 	var dead []string
-	anyBytes := legacyBytes
 	for i := len(segs) - 1; i >= 0; i-- {
-		seg := segs[i]
-		raw, err := fsys.ReadFile(seg.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
+		ss, verdict, err := segs[i].judge(wantVersion, i <= first)
+		switch verdict {
+		case VerdictCorrupt:
+			return nil, fmt.Errorf("%s: %w", segs[i].path, err)
+		case VerdictClean, VerdictTornTail:
+			for _, older := range segs[:i] {
+				dead = append(dead, older.path)
 			}
-			return nil, err
+			ss.Dead = dead
+			return ss, nil
 		}
-		if len(raw) > 0 {
-			anyBytes = true
-		}
-		st, perr := Parse(raw, wantVersion)
-		if perr != nil {
-			var ce *CorruptError
-			if errors.As(perr, &ce) && ce.Line == 0 {
-				// Missing header: the crash hit the very first write of
-				// a fresh segment. A rotation casualty, not corruption.
-				dead = append(dead, seg.path)
-				continue
-			}
-			return nil, fmt.Errorf("%s: %w", seg.path, perr)
-		}
-		if st == nil {
-			// Created but never written: a casualty of a crash between
-			// create and the header write.
-			dead = append(dead, seg.path)
-			continue
-		}
-		hasCkpt := len(st.Records) > 0 && st.Records[0].Kind == "checkpoint"
-		if !hasCkpt && !(i == 0 && !legacyBytes) {
-			dead = append(dead, seg.path)
-			continue
-		}
-		for j := 0; j < i; j++ {
-			dead = append(dead, segs[j].path)
-		}
-		if legacyExists {
-			dead = append(dead, base)
-		}
-		return finishSegState(st, seg.idx, seg.path, raw[len(raw)-1] == '\n', dead)
+		dead = append(dead, segs[i].path)
 	}
-	if legacyBytes {
-		st, err := Parse(legacyRaw, wantVersion)
-		if err != nil {
-			return nil, err
-		}
-		return finishSegState(st, 0, base, legacyRaw[len(legacyRaw)-1] == '\n', dead)
-	}
-	if anyBytes {
-		return nil, &CorruptError{Reason: "no recoverable segment"}
-	}
-	// Only empty casualties on disk: nothing to resume. A fresh
-	// OpenSegmented clears the leftovers.
+	// The oldest segment holding bytes is always a root or corrupt, so
+	// only empty files are left.
 	return nil, nil
 }
 
@@ -264,13 +269,13 @@ func LoadSegmented(fsys FS, base string, wantVersion int) (*SegmentedState, erro
 type SegmentedOptions struct {
 	// SegmentBytes rotates the live segment once its tail — the bytes
 	// appended after its checkpoint — reaches this budget. Zero keeps
-	// the single-file layout (no rotation, no migration).
+	// the journal in one segment, the file at base.
 	SegmentBytes int
 	// Version is the owner's record-format version, used to re-verify
 	// the live segment before checkpointing it.
 	Version int
 	// Header is the owner's header record; the writer frames it at the
-	// head of the journal and of every new segment.
+	// head of every segment it starts.
 	Header any
 	// Summarize, when set, compacts the checkpoint bundle at rotation
 	// (e.g. keeping only the last of a last-wins record family); nil
@@ -278,29 +283,40 @@ type SegmentedOptions struct {
 	Summarize func([]json.RawMessage) ([]json.RawMessage, error)
 }
 
-// SegmentedWriter is a Log whose on-disk form rotates into checkpointed
-// segments. A nil writer accepts every call as a no-op, like *Writer.
+// SegmentedWriter is the journal's one writer: it appends CRC-framed
+// records to the live segment, fsyncing after every Append so a kill -9
+// loses at most the record being written, and rotates into checkpointed
+// successors when SegmentBytes is set. A nil writer (journaling
+// disabled) accepts every call as a no-op.
 type SegmentedWriter struct {
-	fsys FS
-	base string
-	opts SegmentedOptions
-	f    File
-	path string
-	seg  int // 0 = legacy single file
-	tail int
+	fsys   FS
+	base   string
+	opts   SegmentedOptions
+	header []byte // the header payload framed at the head of every segment
+	f      File
+	path   string
+	seg    int
+	tail   int
+
+	// The owner's disk-fault policy, armed by Owner.Open.
+	owner  *Owner
+	strict bool
+	logf   func(format string, args ...any)
+	fault  string
 }
 
 // OpenSegmented opens the journal at base for appending, given the
 // state LoadSegmented recovered (nil for a fresh journal). The writer
-// owns the header: on a fresh journal it writes opts.Header itself, so
-// callers never append their own. Layout decisions:
+// owns the header: it frames opts.Header at the head of every segment
+// it starts, so callers never append their own. The one layout decision
+// is where a fresh journal starts — segment 0 (base) when SegmentBytes
+// is zero, segment 1 otherwise:
 //
-//   - fresh, SegmentBytes == 0 → single file at base
-//   - fresh, SegmentBytes > 0 → segment base.000001
-//   - prior legacy, SegmentBytes == 0 → keep appending to base
-//   - prior legacy, SegmentBytes > 0 → migrate: write base.000001 with
-//     a checkpoint of the legacy records, then remove the legacy file
-//   - prior segment → truncate any torn tail and keep appending to it
+//   - fresh: clear leftover crash debris and start that segment
+//   - recovered from an older segment than that (an unsegmented journal
+//     resumed with rotation on): checkpoint its records into the start
+//     segment, then retire it — a migration is an early rotation
+//   - otherwise: truncate any torn tail and keep appending in place
 //
 // Files the recovery marked Dead are removed once the live file is
 // safely established.
@@ -308,108 +324,124 @@ func OpenSegmented(fsys FS, base string, prior *SegmentedState, opts SegmentedOp
 	if fsys == nil {
 		fsys = OSFS
 	}
-	w := &SegmentedWriter{fsys: fsys, base: base, opts: opts}
+	hdr, err := json.Marshal(opts.Header)
+	if err != nil {
+		return nil, fmt.Errorf("journal: encoding header: %w", err)
+	}
+	w := &SegmentedWriter{fsys: fsys, base: base, opts: opts, header: hdr}
+	start := 0
+	if opts.SegmentBytes > 0 {
+		start = 1
+	}
+	var superseded []string
 	switch {
 	case prior == nil:
-		// Clear rotation casualties left by a crashed run that never
-		// got a valid record down.
 		for _, seg := range listSegments(fsys, base) {
 			if err := fsys.Remove(seg.path); err != nil && !os.IsNotExist(err) {
 				return nil, err
 			}
 		}
-		if opts.SegmentBytes > 0 {
-			if err := w.startSegment(1, nil, false); err != nil {
-				return nil, err
-			}
-			return w, nil
+		if err := w.startSegment(start, nil); err != nil {
+			return nil, err
 		}
-		f, err := openAppendFile(fsys, base)
+	case prior.Seg < start:
+		// A crash anywhere in here leaves either a valid checkpointed
+		// segment (which wins) or a casualty (and prior still wins).
+		ckpt, err := w.checkpoint(prior.Records)
 		if err != nil {
 			return nil, err
 		}
-		w.f, w.path, w.seg = f, base, 0
-		if err := w.appendFramed(w.opts.Header); err != nil {
-			w.f.Close()
+		if err := w.startSegment(start, ckpt); err != nil {
 			return nil, err
 		}
-		return w, nil
-
-	case prior.Seg == 0 && opts.SegmentBytes > 0:
-		// Migration. The new first segment checkpoints everything the
-		// legacy file held; only after it is durable does the legacy
-		// file go. A crash anywhere in between leaves either a valid
-		// checkpointed segment (which wins) or a casualty (and the
-		// legacy file still wins).
-		bundle := payloadsOf(prior.Records)
-		if w.opts.Summarize != nil {
-			var err error
-			bundle, err = w.opts.Summarize(bundle)
-			if err != nil {
-				return nil, fmt.Errorf("journal: summarizing checkpoint: %w", err)
-			}
-		}
-		if err := w.startSegment(1, bundle, true); err != nil {
-			return nil, err
-		}
-		if err := fsys.Remove(base); err != nil && !os.IsNotExist(err) {
-			w.f.Close()
-			return nil, err
-		}
-
+		superseded = append([]string{prior.Path}, prior.Dead...)
 	default:
-		// Continue the recovered file (legacy or segment) in place.
-		if prior.Truncated {
-			if err := fsys.Truncate(prior.Path, int64(prior.ValidLen)); err != nil {
-				return nil, err
-			}
-		}
-		f, err := openAppendFile(fsys, prior.Path)
-		if err != nil {
+		if err := w.resume(prior); err != nil {
 			return nil, err
 		}
-		w.f, w.path, w.seg, w.tail = f, prior.Path, prior.Seg, prior.TailLen
-		if prior.NeedsNewline {
-			if _, err := w.f.Write([]byte("\n")); err != nil {
-				w.f.Close()
-				return nil, fmt.Errorf("journal: restoring final newline: %w", err)
-			}
-			if err := w.f.Sync(); err != nil {
-				w.f.Close()
-				return nil, fmt.Errorf("journal: restoring final newline: %w", err)
-			}
-			w.tail++
-		}
+		superseded = prior.Dead
 	}
-	for _, p := range prior.Dead {
-		// Migration rebuilds segment 1 in place, so a dead half-migrated
-		// segment may now BE the live file — startSegment already
-		// truncated over it.
-		if p == w.path {
-			continue
-		}
-		if err := fsys.Remove(p); err != nil && !os.IsNotExist(err) {
-			w.f.Close()
-			return nil, err
-		}
+	if _, err := w.retire(superseded); err != nil {
+		w.f.Close()
+		return nil, err
 	}
 	return w, nil
 }
 
-func payloadsOf(records []Record) []json.RawMessage {
-	out := make([]json.RawMessage, 0, len(records))
-	for _, rec := range records {
-		out = append(out, rec.Payload)
+// resume continues the recovered segment in place: a torn tail is
+// truncated to the verified prefix and a lost final newline restored.
+func (w *SegmentedWriter) resume(prior *SegmentedState) error {
+	if prior.Truncated {
+		if err := w.fsys.Truncate(prior.Path, int64(prior.ValidLen)); err != nil {
+			return err
+		}
 	}
-	return out
+	// The recovered segment exists (recovery just read it), so its
+	// directory entry is already durable.
+	f, err := w.fsys.OpenFile(prior.Path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	w.f, w.path, w.seg, w.tail = f, prior.Path, prior.Seg, prior.TailLen
+	if prior.NeedsNewline {
+		_, err := w.f.Write([]byte("\n"))
+		if err == nil {
+			err = w.f.Sync()
+		}
+		if err != nil {
+			w.f.Close()
+			return fmt.Errorf("journal: restoring final newline: %w", err)
+		}
+		w.tail++
+	}
+	return nil
 }
 
-// startSegment creates (or truncates a leftover casualty at) segment
-// idx, writes the owner header and — when withCkpt — a checkpoint
-// bundling the given payloads, then fsyncs the file (and, on create,
-// the directory). w is only updated on success; on failure the caller's
-// current file, if any, is untouched and still live.
-func (w *SegmentedWriter) startSegment(idx int, bundle []json.RawMessage, withCkpt bool) error {
+// retire removes files the live segment supersedes — never the live
+// segment itself, which a rebuilt casualty may now be — and returns the
+// paths it removed.
+func (w *SegmentedWriter) retire(paths []string) ([]string, error) {
+	var removed []string
+	for _, p := range paths {
+		if p == w.path {
+			continue
+		}
+		if err := w.fsys.Remove(p); err != nil && !os.IsNotExist(err) {
+			return removed, err
+		}
+		removed = append(removed, p)
+	}
+	return removed, nil
+}
+
+// checkpoint encodes records as a checkpoint payload, compacted by the
+// Summarize hook when one is set.
+func (w *SegmentedWriter) checkpoint(records []Record) ([]byte, error) {
+	bundle := make([]json.RawMessage, 0, len(records))
+	for _, rec := range records {
+		bundle = append(bundle, rec.Payload)
+	}
+	if w.opts.Summarize != nil {
+		var err error
+		if bundle, err = w.opts.Summarize(bundle); err != nil {
+			return nil, fmt.Errorf("journal: summarizing checkpoint: %w", err)
+		}
+	}
+	ck, err := json.Marshal(checkpointRecord{Kind: "checkpoint", Records: bundle})
+	if err != nil {
+		return nil, fmt.Errorf("journal: encoding checkpoint: %w", err)
+	}
+	return ck, nil
+}
+
+// startSegment is the one path that writes "header + checkpoint +
+// fsync", shared by fresh journals, migration, rotation and Compact. It
+// creates (or truncates a leftover casualty at) segment idx, fsyncs the
+// directory when it created the file, writes the header and — when ckpt
+// is set — the checkpoint, then fsyncs the file. w is only updated on
+// success; on failure the current live file, if any, is untouched and
+// still live.
+func (w *SegmentedWriter) startSegment(idx int, ckpt []byte) error {
 	path := segmentPath(w.base, idx)
 	_, serr := w.fsys.Stat(path)
 	existed := serr == nil
@@ -417,29 +449,20 @@ func (w *SegmentedWriter) startSegment(idx int, bundle []json.RawMessage, withCk
 	if err != nil {
 		return fmt.Errorf("journal: creating segment %s: %w", path, err)
 	}
-	if !existed {
-		if err := w.fsys.SyncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: fsyncing directory after creating %s: %w", path, err)
-		}
-	}
 	fail := func(what string, err error) error {
 		f.Close()
 		return fmt.Errorf("journal: %s %s: %w", what, path, err)
 	}
-	hdr, err := json.Marshal(w.opts.Header)
-	if err != nil {
-		return fail("encoding header for", err)
+	if !existed {
+		if err := w.fsys.SyncDir(filepath.Dir(path)); err != nil {
+			return fail("fsyncing directory after creating", err)
+		}
 	}
-	if _, err := f.Write(Frame(hdr)); err != nil {
+	if _, err := f.Write(Frame(w.header)); err != nil {
 		return fail("writing header to", err)
 	}
-	if withCkpt {
-		ck, err := json.Marshal(checkpointRecord{Kind: "checkpoint", Records: bundle})
-		if err != nil {
-			return fail("encoding checkpoint for", err)
-		}
-		if _, err := f.Write(Frame(ck)); err != nil {
+	if ckpt != nil {
+		if _, err := f.Write(Frame(ckpt)); err != nil {
 			return fail("writing checkpoint to", err)
 		}
 	}
@@ -450,30 +473,20 @@ func (w *SegmentedWriter) startSegment(idx int, bundle []json.RawMessage, withCk
 	return nil
 }
 
-// appendFramed marshals, frames, writes and fsyncs one record without
-// rotation accounting (header writes on the legacy layout).
-func (w *SegmentedWriter) appendFramed(record any) error {
-	payload, err := json.Marshal(record)
-	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
-	}
-	if _, err := w.f.Write(Frame(payload)); err != nil {
-		return fmt.Errorf("journal: appending record: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing record: %w", err)
-	}
-	return nil
-}
-
 // Append marshals, frames, writes and fsyncs one record, then rotates
 // if the tail passed its byte budget. The record that triggers a
 // rotation is already durable in the old segment before the rotation
-// starts, so a crash in any rotation window never loses it.
+// starts, so a crash in any rotation window never loses it. A writer
+// opened by Owner.Open applies the owner's disk-fault policy to any
+// failure.
 func (w *SegmentedWriter) Append(record any) error {
 	if w == nil || w.f == nil {
 		return nil
 	}
+	return w.degrade(w.appendRecord(record))
+}
+
+func (w *SegmentedWriter) appendRecord(record any) error {
 	payload, err := json.Marshal(record)
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
@@ -486,7 +499,7 @@ func (w *SegmentedWriter) Append(record any) error {
 		return fmt.Errorf("journal: syncing record: %w", err)
 	}
 	w.tail += len(frame)
-	if w.opts.SegmentBytes > 0 && w.seg >= 1 && w.tail >= w.opts.SegmentBytes {
+	if w.opts.SegmentBytes > 0 && w.tail >= w.opts.SegmentBytes {
 		if err := w.rotate(); err != nil {
 			return fmt.Errorf("journal: rotating segment: %w", err)
 		}
@@ -517,15 +530,12 @@ func (w *SegmentedWriter) rotate() error {
 	if err := expandCheckpoint(st); err != nil {
 		return err
 	}
-	bundle := payloadsOf(st.Records)
-	if w.opts.Summarize != nil {
-		bundle, err = w.opts.Summarize(bundle)
-		if err != nil {
-			return fmt.Errorf("summarizing checkpoint: %w", err)
-		}
+	ckpt, err := w.checkpoint(st.Records)
+	if err != nil {
+		return err
 	}
 	old := w.f
-	if err := w.startSegment(w.seg+1, bundle, true); err != nil {
+	if err := w.startSegment(w.seg+1, ckpt); err != nil {
 		return err
 	}
 	old.Close()
@@ -551,14 +561,6 @@ func (w *SegmentedWriter) WriteRaw(b []byte) error {
 	}
 	w.tail += len(b)
 	return nil
-}
-
-// Sync flushes the live segment to stable storage.
-func (w *SegmentedWriter) Sync() error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
 }
 
 // Close closes the live segment.

@@ -402,7 +402,7 @@ func TestEmptyAndHeaderOnlySemantics(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if HasState(OSFS, empty) {
+	if hasState(OSFS, empty) {
 		t.Error("zero-byte journal reported as existing state")
 	}
 	if st := mustLoad(t, empty); st != nil {
@@ -412,7 +412,7 @@ func TestEmptyAndHeaderOnlySemantics(t *testing.T) {
 	headerOnly := filepath.Join(dir, "header-only")
 	w := mustOpen(t, headerOnly, nil, 0)
 	w.Close()
-	if !HasState(OSFS, headerOnly) {
+	if !hasState(OSFS, headerOnly) {
 		t.Error("header-only journal reported as no state")
 	}
 	st := mustLoad(t, headerOnly)
@@ -421,7 +421,7 @@ func TestEmptyAndHeaderOnlySemantics(t *testing.T) {
 	}
 
 	missing := filepath.Join(dir, "missing")
-	if HasState(OSFS, missing) {
+	if hasState(OSFS, missing) {
 		t.Error("missing journal reported as existing state")
 	}
 	if st := mustLoad(t, missing); st != nil {
@@ -433,7 +433,7 @@ func TestEmptyAndHeaderOnlySemantics(t *testing.T) {
 	if err := os.WriteFile(segmentPath(segBase, 1), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if HasState(OSFS, segBase) {
+	if hasState(OSFS, segBase) {
 		t.Error("zero-byte segment reported as existing state")
 	}
 	if st := mustLoad(t, segBase); st != nil {
@@ -441,45 +441,29 @@ func TestEmptyAndHeaderOnlySemantics(t *testing.T) {
 	}
 }
 
-// opRecorder wraps OSFS and logs the operation order, for asserting
-// create → dir-fsync on journal creation (satellite: dir-fsync on
-// OpenAppend create).
-type opRecorder struct {
-	FS
-	ops []string
-}
-
-func (r *opRecorder) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
-	r.ops = append(r.ops, "open:"+filepath.Base(path))
-	return r.FS.OpenFile(path, flag, perm)
-}
-
-func (r *opRecorder) SyncDir(dir string) error {
-	r.ops = append(r.ops, "syncdir")
-	return r.FS.SyncDir(dir)
-}
-
+// Creating a journal fsyncs its directory, so a crash right after the
+// create cannot lose the entry; re-opening an existing file to resume
+// it does not fsync the directory again.
 func TestOpenAppendFsyncsDirOnCreate(t *testing.T) {
 	dir := t.TempDir()
 	rec := &opRecorder{FS: OSFS}
 	path := filepath.Join(dir, "j")
-	w, err := OpenAppendFS(rec, path)
+	w, err := OpenSegmented(rec, path, nil, segOpts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	want := []string{"open:j", "syncdir"}
+	want := []string{"create:j", "syncdir", "write:j", "sync:j"}
 	if fmt.Sprint(rec.ops) != fmt.Sprint(want) {
 		t.Errorf("create ops = %v, want %v", rec.ops, want)
 	}
-	// Re-opening an existing file must not fsync the directory again.
 	rec.ops = nil
-	w, err = OpenAppendFS(rec, path)
+	w, err = OpenSegmented(rec, path, mustLoad(t, path), segOpts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	if fmt.Sprint(rec.ops) != fmt.Sprint([]string{"open:j"}) {
-		t.Errorf("reopen ops = %v, want [open:j]", rec.ops)
+	if fmt.Sprint(rec.ops) != fmt.Sprint([]string{"create:j"}) {
+		t.Errorf("reopen ops = %v, want [create:j]", rec.ops)
 	}
 }
