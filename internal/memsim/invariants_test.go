@@ -141,9 +141,9 @@ func TestStoresDoNotCountAsLoads(t *testing.T) {
 func TestCacheOccupancyBound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := newCache(8, 4)
+		c := newCache(8, 4, false)
 		for i := 0; i < 500; i++ {
-			c.insert(uint64(rng.Intn(4096)), 0, -1)
+			insert(c, uint64(rng.Intn(4096)))
 		}
 		return c.occupancy() <= 8*4
 	}
@@ -155,16 +155,16 @@ func TestCacheOccupancyBound(t *testing.T) {
 // An inserted line is immediately findable; after filling its set with
 // `ways` other lines it is gone (LRU with no touches).
 func TestCacheInsertLookupEvict(t *testing.T) {
-	c := newCache(16, 4)
+	c := newCache(16, 4, false)
 	const line = 0x100 // set 0
-	c.insert(line, 0, -1)
-	if c.peek(line) < 0 {
+	insert(c, line)
+	if _, hit := c.peek(line); !hit {
 		t.Fatal("inserted line not found")
 	}
 	for i := uint64(1); i <= 4; i++ {
-		c.insert(line+i*16, 0, -1) // same set
+		insert(c, line+i*16) // same set
 	}
-	if c.peek(line) >= 0 {
+	if _, hit := c.peek(line); hit {
 		t.Error("LRU line survived 4 insertions into a 4-way set")
 	}
 }

@@ -46,11 +46,13 @@ type pendingMiss struct {
 }
 
 type coreSim struct {
-	id      int
-	node    int
+	id   int
+	node int
+	// The caches are nil until the core first touches memory; see
+	// memCore.
 	l1, l2  *cache
-	dtlb    *tlb
-	stlb    *tlb
+	dtlb    *cache
+	stlb    *cache
 	pf      *streamPrefetcher
 	bp      branchPredictor
 	pending []pendingMiss
@@ -64,7 +66,7 @@ type coreSim struct {
 type Sim struct {
 	mach      *topology.Machine
 	cores     []*coreSim
-	l3        []*cache // per socket
+	l3        []*cache // per socket; nil until one of its cores touches memory
 	uncore    []counters.Counts
 	lineShift uint
 	pageShift uint
@@ -95,10 +97,6 @@ func New(m *topology.Machine) (*Sim, error) {
 		cs := &coreSim{
 			id:     i,
 			node:   m.NodeOfCore(i),
-			l1:     newCache(l1.Sets(), l1.Ways),
-			l2:     newCache(l2.Sets(), l2.Ways),
-			dtlb:   newTLB(m.TLB.L1Entries, m.TLB.L1Ways),
-			stlb:   newTLB(m.TLB.L2Entries, m.TLB.L2Ways),
 			pf:     newStreamPrefetcher(m.LineBytes(), m.PageBytes, PrefetchDegree),
 			counts: counters.NewCounts(),
 		}
@@ -107,11 +105,40 @@ func New(m *topology.Machine) (*Sim, error) {
 	}
 	s.l3 = make([]*cache, m.Sockets)
 	s.uncore = make([]counters.Counts, m.Sockets)
-	for n := 0; n < m.Sockets; n++ {
-		s.l3[n] = newCache(llc.Sets(), llc.Ways)
+	for n := range s.uncore {
 		s.uncore[n] = counters.NewCounts()
 	}
 	return s, nil
+}
+
+// memCore returns a core about to touch memory, first building its
+// caches, and its socket's L3, if this is its first access. A run
+// touches the cores it has threads on, often a few of a machine's
+// dozens, so the caches of the rest (nearly all of a 1-thread
+// Haswell-EX engine's memory: three of four 10 MiB L3s) are never
+// allocated, and an engine's host memory stays in proportion to its
+// run. A cache starts as empty as reset leaves it, so when it is built
+// changes no count.
+func (s *Sim) memCore(core int) *coreSim {
+	cs := s.cores[core]
+	if cs.l1 == nil {
+		s.buildCaches(cs)
+	}
+	return cs
+}
+
+func (s *Sim) buildCaches(cs *coreSim) {
+	m := s.mach
+	l1, _ := m.Cache(1)
+	l2, _ := m.Cache(2)
+	cs.l1 = newCache(l1.Sets(), l1.Ways, false)
+	cs.l2 = newCache(l2.Sets(), l2.Ways, false)
+	cs.dtlb = newTLB(m.TLB.L1Entries, m.TLB.L1Ways)
+	cs.stlb = newTLB(m.TLB.L2Entries, m.TLB.L2Ways)
+	if s.l3[cs.node] == nil {
+		llc := m.LLC()
+		s.l3[cs.node] = newCache(llc.Sets(), llc.Ways, true)
+	}
 }
 
 func log2(v uint64) uint {
@@ -161,14 +188,16 @@ func (s *Sim) Reset() {
 // correlation ("the L1D cache is locked due to TLB page walks by the
 // uncore").
 func (s *Sim) translate(cs *coreSim, vpage uint64, store, remote bool) uint64 {
-	if cs.dtlb.lookup(vpage) {
+	d, hit := cs.dtlb.probe(vpage)
+	if hit {
 		return 0
 	}
-	if cs.stlb.lookup(vpage) {
+	st, hit := cs.stlb.probe(vpage)
+	if hit {
 		if !store {
 			cs.counts[counters.DTLBLoadMissSTLBHit]++
 		}
-		cs.dtlb.insert(vpage)
+		cs.dtlb.fill(d, vpage, 0)
 		return s.mach.TLB.L2HitCycles
 	}
 	// Full page walk.
@@ -184,8 +213,8 @@ func (s *Sim) translate(cs *coreSim, vpage uint64, store, remote bool) uint64 {
 		cs.counts[counters.CacheLockCycle] += TLBLockCycles
 		s.uncore[cs.node][counters.UncTLBLockWalks]++
 	}
-	cs.stlb.insert(vpage)
-	cs.dtlb.insert(vpage)
+	cs.stlb.fill(st, vpage, 0)
+	cs.dtlb.fill(d, vpage, 0)
 	return walk
 }
 
@@ -218,8 +247,14 @@ func (s *Sim) dramAccess(cs *coreSim, homeNode int, write bool) uint64 {
 // lfbAdmit models line-fill-buffer admission for an offcore miss. When
 // all buffers are busy the demand is rejected (FB_FULL) and the core
 // stalls until the earliest outstanding miss completes.
+//
+// Completed fills leave cs.pending only when it looks full: until then
+// fewer than LFBEntries fills can be outstanding, and lfbHit skips
+// completed entries.
 func (s *Sim) lfbAdmit(cs *coreSim) {
-	// Purge completed entries.
+	if len(cs.pending) < s.mach.LFBEntries {
+		return
+	}
 	live := cs.pending[:0]
 	for _, p := range cs.pending {
 		if p.completeAt > cs.cycle {
@@ -244,13 +279,6 @@ func (s *Sim) lfbAdmit(cs *coreSim) {
 		cs.counts[counters.StallsLDM] += stall
 	}
 	cs.cycle += FBRetryCycles
-	live = cs.pending[:0]
-	for _, p := range cs.pending {
-		if p.completeAt > cs.cycle {
-			live = append(live, p)
-		}
-	}
-	cs.pending = live
 }
 
 // lfbHit reports whether a line is already being filled.
@@ -267,7 +295,8 @@ func (s *Sim) lfbHit(cs *coreSim, line uint64) bool {
 func (s *Sim) prefetch(cs *coreSim, line uint64, homeNode int) {
 	for _, pfLine := range cs.pf.observeMiss(line) {
 		cs.counts[counters.L2PFRequests]++
-		if cs.l2.peek(pfLine) >= 0 {
+		w2, hit := cs.l2.peek(pfLine)
+		if hit {
 			cs.counts[counters.L2PFHit]++
 			continue
 		}
@@ -277,12 +306,12 @@ func (s *Sim) prefetch(cs *coreSim, line uint64, homeNode int) {
 		cs.counts[counters.L3Reference]++
 		s.uncore[cs.node][counters.UncLLCLookup]++
 		l3 := s.l3[cs.node]
-		if l3.lookup(pfLine) < 0 {
+		if w3, hit := l3.probe(pfLine); !hit {
 			cs.counts[counters.L3MissRef]++
 			s.dramAccess(cs, homeNode, false)
-			l3.insert(pfLine, 0, -1)
+			l3.fill(w3, pfLine, 0)
 		}
-		cs.l2.insert(pfLine, linePrefetched, -1)
+		cs.l2.fill(w2, pfLine, linePrefetched)
 		cs.counts[counters.L2LinesIn]++
 	}
 }
@@ -300,7 +329,7 @@ func (s *Sim) prefetch(cs *coreSim, line uint64, homeNode int) {
 // buffers (a full LFB rejects the demand and stalls the core until the
 // oldest miss completes, which is what the FB_FULL counter records).
 func (s *Sim) Load(core int, vaddr uint64, homeNode int, dependent bool) uint64 {
-	cs := s.cores[core]
+	cs := s.memCore(core)
 	cs.counts[counters.AllLoads]++
 	cs.counts[counters.InstRetired]++
 	cs.counts[counters.UopsRetired]++
@@ -311,8 +340,9 @@ func (s *Sim) Load(core int, vaddr uint64, homeNode int, dependent bool) uint64 
 
 	missedL1 := false
 	offcore := false
+	w1, hit := cs.l1.probe(line)
 	switch {
-	case cs.l1.lookup(line) >= 0:
+	case hit:
 		cs.counts[counters.L1Hit]++
 		lat += s.l1Lat
 	case s.lfbHit(cs, line):
@@ -324,12 +354,12 @@ func (s *Sim) Load(core int, vaddr uint64, homeNode int, dependent bool) uint64 
 		missedL1 = true
 		cs.counts[counters.L1Miss]++
 		s.prefetch(cs, line, homeNode)
-		if w := cs.l2.lookup(line); w >= 0 {
+		if w2, hit := cs.l2.probe(line); hit {
 			cs.counts[counters.L2Hit]++
 			cs.counts[counters.L2DemandHit]++
-			if cs.l2.flags[w]&linePrefetched != 0 {
+			if cs.l2.tags[w2]&linePrefetched != 0 {
 				cs.counts[counters.LoadHitPre]++
-				cs.l2.flags[w] &^= linePrefetched
+				cs.l2.tags[w2] &^= linePrefetched
 			}
 			lat += s.l2Lat
 		} else {
@@ -342,7 +372,7 @@ func (s *Sim) Load(core int, vaddr uint64, homeNode int, dependent bool) uint64 
 			s.uncore[cs.node][counters.UncLLCLookup]++
 			s.lfbAdmit(cs)
 			l3 := s.l3[cs.node]
-			if w3 := l3.lookup(line); w3 >= 0 {
+			if w3, hit := l3.probe(line); hit {
 				cs.counts[counters.L3Hit]++
 				lat += s.l3Lat
 				if o := l3.owner[w3]; o >= 0 && int(o) != core {
@@ -357,13 +387,13 @@ func (s *Sim) Load(core int, vaddr uint64, homeNode int, dependent bool) uint64 
 					cs.counts[counters.RemoteDRAM]++
 				}
 				lat += s.l3Lat + s.dramAccess(cs, homeNode, false)
-				l3.insert(line, 0, -1)
+				l3.fill(w3, line, 0)
 			}
 			cs.pending = append(cs.pending, pendingMiss{line: line, completeAt: cs.cycle + lat})
-			cs.l2.insert(line, 0, -1)
+			cs.l2.fill(w2, line, 0)
 			cs.counts[counters.L2LinesIn]++
 		}
-		if _, ev := cs.l1.insert(line, 0, -1); ev {
+		if cs.l1.fill(w1, line, 0) {
 			cs.counts[counters.L1DReplace]++
 		}
 	}
@@ -413,7 +443,7 @@ func nodeOf(s *Sim, homeNode int, cs *coreSim) int {
 // Store executes a retired store (write-allocate, store-buffered so it
 // costs the core a single cycle unless translation stalls it).
 func (s *Sim) Store(core int, vaddr uint64, homeNode int) {
-	cs := s.cores[core]
+	cs := s.memCore(core)
 	cs.counts[counters.AllStores]++
 	cs.counts[counters.InstRetired]++
 	cs.counts[counters.UopsRetired]++
@@ -421,31 +451,29 @@ func (s *Sim) Store(core int, vaddr uint64, homeNode int) {
 	penalty := s.translate(cs, vaddr>>s.pageShift, true, nodeOf(s, homeNode, cs) != cs.node)
 	line := vaddr >> s.lineShift
 
-	if w := cs.l1.lookup(line); w >= 0 {
-		cs.l1.flags[w] |= lineDirty
+	w1, hit := cs.l1.probe(line)
+	if hit {
 		cs.cycle += 1 + penalty
 		s.markOwner(cs, line)
 		return
 	}
 	// RFO: fetch the line for ownership.
-	if w := cs.l2.lookup(line); w >= 0 {
-		cs.l2.flags[w] |= lineDirty
-	} else {
+	if w2, hit := cs.l2.probe(line); !hit {
 		cs.counts[counters.OffcoreAllRd]++
 		cs.counts[counters.L3Reference]++
 		s.uncore[cs.node][counters.UncLLCLookup]++
 		l3 := s.l3[cs.node]
-		if l3.lookup(line) < 0 {
+		if w3, hit := l3.probe(line); !hit {
 			cs.counts[counters.L3MissRef]++
 			s.dramAccess(cs, homeNode, false)
 			// Allocating store traffic eventually writes back.
 			s.dramAccess(cs, homeNode, true)
-			l3.insert(line, lineDirty, int16(core))
+			l3.fill(w3, line, 0) // markOwner below records the writer
 		}
-		cs.l2.insert(line, lineDirty, -1)
+		cs.l2.fill(w2, line, 0)
 		cs.counts[counters.L2LinesIn]++
 	}
-	if _, ev := cs.l1.insert(line, lineDirty, -1); ev {
+	if cs.l1.fill(w1, line, 0) {
 		cs.counts[counters.L1DReplace]++
 	}
 	s.markOwner(cs, line)
@@ -456,9 +484,8 @@ func (s *Sim) Store(core int, vaddr uint64, homeNode int) {
 // on other cores pay the cache-to-cache penalty.
 func (s *Sim) markOwner(cs *coreSim, line uint64) {
 	l3 := s.l3[cs.node]
-	if w := l3.peek(line); w >= 0 {
+	if w, hit := l3.peek(line); hit {
 		l3.owner[w] = int16(cs.id)
-		l3.flags[w] |= lineDirty
 	}
 }
 
@@ -468,13 +495,13 @@ func (s *Sim) markOwner(cs *coreSim, line uint64) {
 // every fourth such conflict triggers a memory-ordering machine clear —
 // the false-sharing ping-pong signature.
 func (s *Sim) Atomic(core int, vaddr uint64, homeNode int) uint64 {
-	cs := s.cores[core]
+	cs := s.memCore(core)
 	cs.counts[counters.LockLoads]++
 
 	l3 := s.l3[cs.node]
 	line := vaddr >> s.lineShift
 	conflict := false
-	if w := l3.peek(line); w >= 0 {
+	if w, hit := l3.peek(line); hit {
 		if o := l3.owner[w]; o >= 0 && int(o) != core {
 			conflict = true
 			cs.l1.invalidate(line)
@@ -491,7 +518,7 @@ func (s *Sim) Atomic(core int, vaddr uint64, homeNode int) uint64 {
 			cs.cycle += BranchMissPenalty
 		}
 	}
-	if w := l3.peek(line); w >= 0 {
+	if w, hit := l3.peek(line); hit {
 		l3.owner[w] = int16(core)
 	}
 	cs.counts[counters.AllStores]++

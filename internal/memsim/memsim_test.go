@@ -338,6 +338,44 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 }
 
+// TestCachesBuiltOnFirstMemoryAccess checks that a simulator allocates
+// the caches of the cores that load, store or lock, and the L3s of
+// their sockets, and no others.
+func TestCachesBuiltOnFirstMemoryAccess(t *testing.T) {
+	m := topology.DL580Gen9()
+	s, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, far := m.Cores()/2, m.Cores()-1
+	s.Load(0, 0, 0, false)
+	s.Instr(1, 100)
+	s.Branch(2, 1, true)
+	s.AddEvent(3, counters.SWPageFaults, 1)
+	s.Reset()
+	s.Store(mid, 64, 0)
+	s.Atomic(far, 128, 0)
+	s.Finalize()
+
+	built := map[int]bool{0: true, mid: true, far: true}
+	for i, cs := range s.cores {
+		for name, c := range map[string]*cache{"L1": cs.l1, "L2": cs.l2, "DTLB": cs.dtlb, "STLB": cs.stlb} {
+			if (c != nil) != built[i] {
+				t.Errorf("core %d: %s built = %v, want %v", i, name, c != nil, built[i])
+			}
+		}
+	}
+	sockets := map[int]bool{m.NodeOfCore(0): true, m.NodeOfCore(mid): true, m.NodeOfCore(far): true}
+	if len(sockets) == m.Sockets {
+		t.Fatalf("precondition: cores 0, %d and %d cover all %d sockets", mid, far, m.Sockets)
+	}
+	for n, c := range s.l3 {
+		if (c != nil) != sockets[n] {
+			t.Errorf("socket %d: L3 built = %v, want %v", n, c != nil, sockets[n])
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() counters.Counts {
 		s := newSim(t)
@@ -409,29 +447,40 @@ func TestSTLBHit(t *testing.T) {
 	}
 }
 
+// insert brings a line in the way a demand miss does: probe, then fill
+// the slot the probe returned. It reports whether a valid line was
+// evicted.
+func insert(c *cache, line uint64) (evicted bool) {
+	slot, hit := c.probe(line)
+	if hit {
+		return false
+	}
+	return c.fill(slot, line, 0)
+}
+
 func TestCacheUnitBehaviour(t *testing.T) {
-	c := newCache(4, 2)
-	if c.lookup(100) >= 0 {
+	c := newCache(4, 2, false)
+	if _, hit := c.probe(100); hit {
 		t.Error("empty cache must miss")
 	}
-	c.insert(100, 0, -1)
-	if c.lookup(100) < 0 {
+	insert(c, 100)
+	if _, hit := c.probe(100); !hit {
 		t.Error("inserted line must hit")
 	}
 	// Fill set 0 (addresses ≡ 0 mod 4) beyond capacity: LRU evicts.
-	c.insert(104, 0, -1) // set 0
-	c.lookup(104)        // make 104 most recent
-	if _, ev := c.insert(108, 0, -1); !ev {
+	insert(c, 104) // set 0
+	c.probe(104)   // make 104 most recent
+	if !insert(c, 108) {
 		t.Error("third line in a 2-way set must evict")
 	}
-	if c.lookup(100) >= 0 {
+	if _, hit := c.probe(100); hit {
 		t.Error("LRU line 100 must have been evicted")
 	}
-	if c.lookup(104) < 0 {
+	if _, hit := c.probe(104); !hit {
 		t.Error("MRU line 104 must survive")
 	}
 	c.invalidate(104)
-	if c.lookup(104) >= 0 {
+	if _, hit := c.probe(104); hit {
 		t.Error("invalidated line must miss")
 	}
 	if c.occupancy() != 1 {

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,10 +12,15 @@ import (
 
 func run(t *testing.T, w Workload, threads int) *exec.Result {
 	t.Helper()
+	return runOn(t, topology.TwoSocket(), 3, w, threads)
+}
+
+func runOn(t *testing.T, m *topology.Machine, seed int64, w Workload, threads int) *exec.Result {
+	t.Helper()
 	e, err := exec.NewEngine(exec.Config{
-		Machine: topology.TwoSocket(),
+		Machine: m,
 		Threads: threads,
-		Seed:    3,
+		Seed:    seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +60,23 @@ func TestRegistry(t *testing.T) {
 func TestCacheMissVariantsDiffer(t *testing.T) {
 	// 512×512 floats: the column stride of 2 KiB aliases L1 sets,
 	// overruns the L2 and stops the page-bounded prefetcher, like the
-	// paper's 1024×1024 case but fast enough for a unit test.
-	a := run(t, CacheMissA(512), 1)
-	b := run(t, CacheMissB(512), 1)
+	// paper's 1024×1024 case but fast enough for a unit test. The
+	// signature must hold on every machine and for every seed, so no
+	// change to the cache model can keep it on one machine only.
+	for _, name := range topology.MachineNames() {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
+				m, _ := topology.ByName(name)
+				a := runOn(t, m, seed, CacheMissA(512), 1)
+				b := runOn(t, m, seed, CacheMissB(512), 1)
+				checkCacheMissSignature(t, a, b)
+			})
+		}
+	}
+}
 
+func checkCacheMissSignature(t *testing.T, a, b *exec.Result) {
+	t.Helper()
 	// Same instruction work (fill + traversal), very different caches.
 	ia, ib := a.Raw.Get(counters.InstRetired), b.Raw.Get(counters.InstRetired)
 	relInstr := float64(ib-ia) / float64(ia)
