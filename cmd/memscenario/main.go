@@ -1,6 +1,6 @@
 // Command memscenario runs a declarative chaos scenario: one YAML (or
 // JSON) file naming a measurement stage, a timeline of fault
-// injections across the five fault packages, and the assertions the
+// injections across the six fault packages, and the assertions the
 // outcome must satisfy. The same scenario under the same seed always
 // produces a byte-identical machine-readable run report, so a report
 // checked in once pins the behaviour forever.

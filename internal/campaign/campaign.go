@@ -46,7 +46,7 @@ import (
 const DefaultMaxRetries = 2
 
 // DefaultQuarantineAfter is the strike count at which an event is
-// quarantined when Options leaves QuarantineAfter zero.
+// quarantined.
 const DefaultQuarantineAfter = 3
 
 // DefaultRunTimeout bounds one run attempt when Options leaves
@@ -91,9 +91,6 @@ type Options struct {
 	// exhausted and continues; without it the campaign aborts with a
 	// *CampaignError (the journal keeping everything completed so far).
 	KeepGoing bool
-	// QuarantineAfter is the strike count that quarantines an event
-	// (0 = DefaultQuarantineAfter, negative = never).
-	QuarantineAfter int
 	// Concurrency is the number of cells measured at once (≤ 1 =
 	// serial). Every cell runs on its own engine and outcomes are
 	// committed in canonical cell order by a single goroutine, so the
@@ -124,10 +121,9 @@ type Options struct {
 	// Without Resume, a non-empty journal is an error, never silently
 	// overwritten.
 	Resume bool
-	// BackoffBase/BackoffMax/BackoffSeed parameterise the deterministic
-	// retry backoff (probenet defaults when zero).
-	BackoffBase, BackoffMax time.Duration
-	BackoffSeed             int64
+	// BackoffSeed seeds the deterministic retry backoff (probenet's
+	// default base and cap).
+	BackoffSeed int64
 	// Sleep replaces time.Sleep in tests.
 	Sleep func(time.Duration)
 	// Wrap decorates the cell run function; the faultrun package uses
@@ -449,7 +445,7 @@ func (r *Runner) Run() (*Report, error) {
 		return &Supervisor{
 			Timeout:    timeout,
 			MaxRetries: maxRetries,
-			Backoff:    probenet.NewBackoff(r.Opts.BackoffBase, r.Opts.BackoffMax, r.Opts.BackoffSeed+int64(c.Index)),
+			Backoff:    probenet.NewBackoff(0, 0, r.Opts.BackoffSeed+int64(c.Index)),
 			Sleep:      r.Opts.Sleep,
 		}
 	}
@@ -631,16 +627,9 @@ func (r *Runner) Run() (*Report, error) {
 
 	// Quarantine verdicts: counters whose strike count crossed the
 	// threshold are removed from every point and reported.
-	threshold := r.Opts.QuarantineAfter
-	switch {
-	case threshold == 0:
-		threshold = DefaultQuarantineAfter
-	case threshold < 0:
-		threshold = math.MaxInt
-	}
 	var quarantined []counters.EventID
 	for id, n := range strikes.count {
-		if n >= threshold {
+		if n >= DefaultQuarantineAfter {
 			quarantined = append(quarantined, id)
 		}
 	}

@@ -21,9 +21,6 @@ type Supervisor struct {
 	// Backoff yields the delay before each retry; nil uses the probenet
 	// defaults (50 ms base, 2 s cap) with seed 0.
 	Backoff *probenet.Backoff
-	// Retryable decides whether an error is worth another attempt; nil
-	// uses the campaign default (everything except op-budget exhaustion).
-	Retryable func(error) bool
 	// Sleep is the delay function, replaceable in tests; nil uses
 	// time.Sleep.
 	Sleep func(time.Duration)
@@ -65,14 +62,10 @@ func Do[T any](s *Supervisor, fn func() (T, error)) (val T, attempts int, err er
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	canRetry := s.Retryable
-	if canRetry == nil {
-		canRetry = retryable
-	}
 	for attempt := 0; ; attempt++ {
 		val, err = attemptOnce(s.Timeout, fn)
 		attempts = attempt + 1
-		if err == nil || attempt >= s.MaxRetries || !canRetry(err) {
+		if err == nil || attempt >= s.MaxRetries || !retryable(err) {
 			return val, attempts, err
 		}
 		sleep(backoff.Delay(attempt))

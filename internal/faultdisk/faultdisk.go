@@ -20,9 +20,9 @@ package faultdisk
 import (
 	"fmt"
 	"os"
-	"sync"
 	"syscall"
 
+	"numaperf/internal/fault"
 	"numaperf/internal/journal"
 )
 
@@ -52,34 +52,29 @@ const (
 	modeBitRot                // read succeeds with one bit flipped
 )
 
-type fault struct {
-	op     Op
-	n      int // fires on the Nth occurrence of op, 1-based
+// effect is what a disk fault does when it fires.
+type effect struct {
 	mode   mode
 	err    error // for modeFail: the error to return
 	offset int   // for modeBitRot: byte to corrupt, modulo length
-	fired  bool
 }
 
-// Script is a deterministic disk-fault plan. Build one with the
+// Script is a deterministic disk-fault plan, an adapter over
+// fault.Plan with one point per operation class. Build one with the
 // On/Kill helpers, wrap a journal.FS with FS, and check Fired after
-// the run.
+// the run. The zero Script injects nothing.
 type Script struct {
-	mu     sync.Mutex
-	faults []fault
-	counts map[Op]int
-	fired  int
+	plan fault.Plan[effect]
 }
 
 // NewScript returns an empty script.
 func NewScript() *Script {
-	return &Script{counts: make(map[Op]int)}
+	return &Script{}
 }
 
-func (s *Script) add(f fault) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults = append(s.faults, f)
+// add schedules e on the nth occurrence (1-based) of op.
+func (s *Script) add(op Op, n int, e effect) *Script {
+	s.plan.Add(fault.Rule[effect]{Point: string(op), From: uint64(n), To: uint64(n) + 1, Do: e})
 	return s
 }
 
@@ -90,105 +85,95 @@ func killErr(op Op, path string) error {
 // ENOSPCOnWrite fails the nth write outright with ENOSPC: nothing of
 // the buffer lands.
 func (s *Script) ENOSPCOnWrite(n int) *Script {
-	return s.add(fault{op: OpWrite, n: n, mode: modeFail, err: fmt.Errorf("faultdisk: scripted write failure: %w", syscall.ENOSPC)})
+	return s.add(OpWrite, n, effect{mode: modeFail, err: fmt.Errorf("faultdisk: scripted write failure: %w", syscall.ENOSPC)})
 }
 
 // ShortWriteOnWrite lands half the nth write's buffer, then returns
 // ENOSPC — the torn-record signature of a disk filling mid-write.
 func (s *Script) ShortWriteOnWrite(n int) *Script {
-	return s.add(fault{op: OpWrite, n: n, mode: modeShort, err: fmt.Errorf("faultdisk: scripted short write: %w", syscall.ENOSPC)})
+	return s.add(OpWrite, n, effect{mode: modeShort, err: fmt.Errorf("faultdisk: scripted short write: %w", syscall.ENOSPC)})
 }
 
 // TearOnWrite lands half the nth write's buffer and kills the process.
 func (s *Script) TearOnWrite(n int) *Script {
-	return s.add(fault{op: OpWrite, n: n, mode: modeTear})
+	return s.add(OpWrite, n, effect{mode: modeTear})
 }
 
 // KillOnWrite kills the process at the nth write; nothing lands.
 func (s *Script) KillOnWrite(n int) *Script {
-	return s.add(fault{op: OpWrite, n: n, mode: modeKill})
+	return s.add(OpWrite, n, effect{mode: modeKill})
 }
 
 // KillAfterWrite lands the nth write fully, then kills the process —
 // the post-write-pre-fsync window.
 func (s *Script) KillAfterWrite(n int) *Script {
-	return s.add(fault{op: OpWrite, n: n, mode: modeKillAfter})
+	return s.add(OpWrite, n, effect{mode: modeKillAfter})
 }
 
 // FailSync fails the nth fsync with EIO.
 func (s *Script) FailSync(n int) *Script {
-	return s.add(fault{op: OpSync, n: n, mode: modeFail, err: fmt.Errorf("faultdisk: scripted fsync failure: %w", syscall.EIO)})
+	return s.add(OpSync, n, effect{mode: modeFail, err: fmt.Errorf("faultdisk: scripted fsync failure: %w", syscall.EIO)})
 }
 
 // KillOnSync kills the process at the nth fsync (the write before it
 // already landed — whether it is durable is the filesystem's secret,
 // which is exactly the window being modelled).
 func (s *Script) KillOnSync(n int) *Script {
-	return s.add(fault{op: OpSync, n: n, mode: modeKill})
+	return s.add(OpSync, n, effect{mode: modeKill})
 }
 
 // FailCreate fails the nth file create/open-for-append with ENOSPC.
 func (s *Script) FailCreate(n int) *Script {
-	return s.add(fault{op: OpCreate, n: n, mode: modeFail, err: fmt.Errorf("faultdisk: scripted create failure: %w", syscall.ENOSPC)})
+	return s.add(OpCreate, n, effect{mode: modeFail, err: fmt.Errorf("faultdisk: scripted create failure: %w", syscall.ENOSPC)})
 }
 
 // KillOnCreate kills the process at the nth create.
 func (s *Script) KillOnCreate(n int) *Script {
-	return s.add(fault{op: OpCreate, n: n, mode: modeKill})
+	return s.add(OpCreate, n, effect{mode: modeKill})
 }
 
 // FailSyncDir fails the nth directory fsync with EIO.
 func (s *Script) FailSyncDir(n int) *Script {
-	return s.add(fault{op: OpSyncDir, n: n, mode: modeFail, err: fmt.Errorf("faultdisk: scripted directory fsync failure: %w", syscall.EIO)})
+	return s.add(OpSyncDir, n, effect{mode: modeFail, err: fmt.Errorf("faultdisk: scripted directory fsync failure: %w", syscall.EIO)})
 }
 
 // KillOnSyncDir kills the process at the nth directory fsync.
 func (s *Script) KillOnSyncDir(n int) *Script {
-	return s.add(fault{op: OpSyncDir, n: n, mode: modeKill})
+	return s.add(OpSyncDir, n, effect{mode: modeKill})
 }
 
 // FailRead fails the nth whole-file read with EIO.
 func (s *Script) FailRead(n int) *Script {
-	return s.add(fault{op: OpRead, n: n, mode: modeFail, err: fmt.Errorf("faultdisk: scripted read failure: %w", syscall.EIO)})
+	return s.add(OpRead, n, effect{mode: modeFail, err: fmt.Errorf("faultdisk: scripted read failure: %w", syscall.EIO)})
 }
 
 // BitRotOnRead flips one bit of the nth whole-file read, at offset
 // modulo the file length — silent media corruption surfacing at read
 // time, for proving the CRC layer catches it.
 func (s *Script) BitRotOnRead(n, offset int) *Script {
-	return s.add(fault{op: OpRead, n: n, mode: modeBitRot, offset: offset})
+	return s.add(OpRead, n, effect{mode: modeBitRot, offset: offset})
 }
 
 // FailRemove fails the nth remove with EIO.
 func (s *Script) FailRemove(n int) *Script {
-	return s.add(fault{op: OpRemove, n: n, mode: modeFail, err: fmt.Errorf("faultdisk: scripted remove failure: %w", syscall.EIO)})
+	return s.add(OpRemove, n, effect{mode: modeFail, err: fmt.Errorf("faultdisk: scripted remove failure: %w", syscall.EIO)})
 }
 
 // FailTruncate fails the nth truncate with EIO.
 func (s *Script) FailTruncate(n int) *Script {
-	return s.add(fault{op: OpTruncate, n: n, mode: modeFail, err: fmt.Errorf("faultdisk: scripted truncate failure: %w", syscall.EIO)})
+	return s.add(OpTruncate, n, effect{mode: modeFail, err: fmt.Errorf("faultdisk: scripted truncate failure: %w", syscall.EIO)})
 }
 
 // Fired reports how many scripted faults have fired.
 func (s *Script) Fired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
+	return s.plan.Fired()
 }
 
 // hit counts one occurrence of op and returns the fault due to fire on
-// it, if any.
-func (s *Script) hit(op Op) *fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counts[op]++
-	for i := range s.faults {
-		f := &s.faults[i]
-		if f.op == op && !f.fired && f.n == s.counts[op] {
-			f.fired = true
-			s.fired++
-			return f
-		}
+// it, if any (the first scheduled when several are).
+func (s *Script) hit(op Op) *effect {
+	if due := s.plan.Next(string(op), ""); len(due) > 0 {
+		return &due[0]
 	}
 	return nil
 }

@@ -1,9 +1,14 @@
 package faultfleet
 
 import (
-	"sync"
-
+	"numaperf/internal/fault"
 	"numaperf/internal/fleet"
+)
+
+// The coordinator seams a CoordinatorScript scripts.
+const (
+	pointDispatch = "dispatch" // cell dispatches, 1-based across the campaign
+	pointCommit   = "commit"   // cell indexes reaching their commit point
 )
 
 // CoordinatorScript is a scripted fleet.CoordinatorDisruptor: it kills
@@ -13,18 +18,12 @@ import (
 // and prove the resume path. The zero script never faults. All methods
 // are safe for concurrent use.
 type CoordinatorScript struct {
-	mu sync.Mutex
-
-	killDispatch int // kill on the n-th dispatch overall (1-based); 0 = never
-	dispatches   int
-	commits      map[int]fleet.CommitFault
-
-	fired int
+	plan fault.Plan[fleet.CommitFault]
 }
 
 // NewCoordinatorScript builds an empty script (no faults).
 func NewCoordinatorScript() *CoordinatorScript {
-	return &CoordinatorScript{commits: make(map[int]fleet.CommitFault)}
+	return &CoordinatorScript{}
 }
 
 // KillOnDispatch kills the coordinator immediately before its n-th
@@ -32,9 +31,14 @@ func NewCoordinatorScript() *CoordinatorScript {
 // dispatches are already on the wire, so their responses land on a
 // dead coordinator.
 func (s *CoordinatorScript) KillOnDispatch(n int) *CoordinatorScript {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.killDispatch = n
+	if n > 0 {
+		s.plan.Add(fault.Rule[fleet.CommitFault]{Point: pointDispatch, From: uint64(n)})
+	}
+	return s
+}
+
+func (s *CoordinatorScript) onCommit(cell int, f fleet.CommitFault) *CoordinatorScript {
+	s.plan.Add(fault.Rule[fleet.CommitFault]{Point: pointCommit, From: uint64(cell), To: uint64(cell) + 1, Do: f})
 	return s
 }
 
@@ -42,58 +46,39 @@ func (s *CoordinatorScript) KillOnDispatch(n int) *CoordinatorScript {
 // canonical commit point, before anything is written: the cell's
 // result is lost and must be re-measured after resume.
 func (s *CoordinatorScript) KillBeforeCommit(cell int) *CoordinatorScript {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commits[cell] = fleet.CommitKillBefore
-	return s
+	return s.onCommit(cell, fleet.CommitKillBefore)
 }
 
 // KillAfterWrite kills the coordinator after cell's record is written
 // but before the explicit fsync — the record survives on any
 // filesystem that kept the write, so resume must honour it.
 func (s *CoordinatorScript) KillAfterWrite(cell int) *CoordinatorScript {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commits[cell] = fleet.CommitKillAfterWrite
-	return s
+	return s.onCommit(cell, fleet.CommitKillAfterWrite)
 }
 
 // TearCommit kills the coordinator midway through writing cell's
 // record, leaving a torn final journal line — the crash-mid-write
 // signature resume must drop and truncate.
 func (s *CoordinatorScript) TearCommit(cell int) *CoordinatorScript {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commits[cell] = fleet.CommitTear
-	return s
+	return s.onCommit(cell, fleet.CommitTear)
 }
 
 // OnDispatch implements fleet.CoordinatorDisruptor.
 func (s *CoordinatorScript) OnDispatch(cell, attempt int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dispatches++
-	if s.killDispatch > 0 && s.dispatches >= s.killDispatch {
-		s.fired++
-		return true
-	}
-	return false
+	return len(s.plan.Next(pointDispatch, "")) > 0
 }
 
-// OnCommit implements fleet.CoordinatorDisruptor.
+// OnCommit implements fleet.CoordinatorDisruptor. When several faults
+// are scheduled for one cell, the one scheduled last applies.
 func (s *CoordinatorScript) OnCommit(cell int) fleet.CommitFault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.commits[cell]
-	if f != fleet.CommitNone {
-		s.fired++
+	due := s.plan.At(pointCommit, "", uint64(cell))
+	if len(due) == 0 {
+		return fleet.CommitNone
 	}
-	return f
+	return due[len(due)-1]
 }
 
 // Fired counts coordinator kills the script delivered.
 func (s *CoordinatorScript) Fired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
+	return s.plan.Fired()
 }

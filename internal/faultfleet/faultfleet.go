@@ -8,103 +8,80 @@
 package faultfleet
 
 import (
-	"sync"
 	"time"
 
+	"numaperf/internal/fault"
 	"numaperf/internal/fleet"
+)
+
+// The agent seams a Script scripts, one fault.Plan point each.
+const (
+	pointConnect   = "connect"   // dial attempts, 0-based
+	pointHeartbeat = "heartbeat" // beacon sequence numbers, 1-based
+	pointRequest   = "request"   // delayed or crashed requests, 1-based
+	pointOverload  = "overload"  // requests answered with backpressure, 1-based
 )
 
 // Script is a scripted fleet.Disruptor.
 type Script struct {
-	mu sync.Mutex
-
-	refuseFirst int             // refuse dial attempts < refuseFirst
-	refuseFrom  int             // >=0: refuse dial attempts >= refuseFrom
-	dropBeats   map[uint64]bool // individual beacons to drop
-	silentFrom  uint64          // >0: drop every beacon with seq >= silentFrom
-	faults      map[int]fleet.Fault
-	crashAll    bool
-	delayAll    time.Duration
-
-	refused    int
-	dropped    int
-	faulted    int
-	overloaded int
+	plan fault.Plan[fleet.Fault]
 }
 
 // New builds an empty script (no disruptions).
 func New() *Script {
-	return &Script{refuseFrom: -1, dropBeats: make(map[uint64]bool), faults: make(map[int]fleet.Fault)}
+	return &Script{}
+}
+
+// add schedules f at point for coordinates [from, to) (to == 0: no
+// upper bound).
+func (s *Script) add(point string, from, to uint64, f fleet.Fault) *Script {
+	s.plan.Add(fault.Rule[fleet.Fault]{Point: point, From: from, To: to, Do: f})
+	return s
 }
 
 // RefuseFirstConnects partitions the probe from the coordinator for its
 // first n dial attempts — registration succeeds only on attempt n.
 func (s *Script) RefuseFirstConnects(n int) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refuseFirst = n
-	return s
+	if n <= 0 {
+		return s
+	}
+	return s.add(pointConnect, 0, uint64(n), fleet.Fault{})
 }
 
 // RefuseReconnects lets the initial registration through but refuses
 // every reconnect — a probe that dies once and never comes back.
 func (s *Script) RefuseReconnects() *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refuseFrom = 1
-	return s
+	return s.add(pointConnect, 1, 0, fleet.Fault{})
 }
 
 // DropHeartbeat drops the beacon with the given sequence number
 // (1-based, per connection).
 func (s *Script) DropHeartbeat(seq uint64) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropBeats[seq] = true
-	return s
+	return s.add(pointHeartbeat, seq, seq+1, fleet.Fault{})
 }
 
 // SilenceHeartbeatsFrom drops every beacon with sequence >= seq: the
 // probe stays connected but falls silent — the suspect → dead path.
 func (s *Script) SilenceHeartbeatsFrom(seq uint64) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.silentFrom = seq
-	return s
+	return s.add(pointHeartbeat, seq, 0, fleet.Fault{})
 }
 
 // DelayRequest stalls the n-th request (1-based, across reconnects) by
 // d before serving it — a slow probe.
 func (s *Script) DelayRequest(n int, d time.Duration) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.faults[n]
-	f.Delay = d
-	s.faults[n] = f
-	return s
+	return s.add(pointRequest, uint64(n), uint64(n)+1, fleet.Fault{Delay: d})
 }
 
 // CrashOnRequest drops the connection instead of answering the n-th
 // request; the agent reconnects as a new instance.
 func (s *Script) CrashOnRequest(n int) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.faults[n]
-	f.Crash = true
-	s.faults[n] = f
-	return s
+	return s.add(pointRequest, uint64(n), uint64(n)+1, fleet.Fault{Crash: true})
 }
 
 // CrashOnRequestStayDown crashes on the n-th request and terminates the
 // agent — a probe process that died and was never restarted.
 func (s *Script) CrashOnRequestStayDown(n int) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.faults[n]
-	f.Crash = true
-	f.StayDown = true
-	s.faults[n] = f
-	return s
+	return s.add(pointRequest, uint64(n), uint64(n)+1, fleet.Fault{Crash: true, StayDown: true})
 }
 
 // OverloadRequests answers requests from through from+count-1 (1-based,
@@ -113,104 +90,60 @@ func (s *Script) CrashOnRequestStayDown(n int) *Script {
 // storm. The connection stays up, so the coordinator must treat the
 // answers as backpressure, not probe death.
 func (s *Script) OverloadRequests(from, count int, retryAfter time.Duration) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < count; i++ {
-		f := s.faults[from+i]
-		f.Overload = true
-		f.RetryAfterMillis = retryAfter.Milliseconds()
-		s.faults[from+i] = f
+	if count <= 0 {
+		return s
 	}
-	return s
+	return s.add(pointOverload, uint64(from), uint64(from+count),
+		fleet.Fault{Overload: true, RetryAfterMillis: retryAfter.Milliseconds()})
 }
 
 // DelayEveryRequest stalls every request by d — a uniformly slow probe,
 // useful to stretch a campaign long enough for other scripts to play
 // out.
 func (s *Script) DelayEveryRequest(d time.Duration) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.delayAll = d
-	return s
+	return s.add(pointRequest, 0, 0, fleet.Fault{Delay: d})
 }
 
 // CrashAlways crashes on every request — a flapping probe that
 // registers fine but never finishes a cell.
 func (s *Script) CrashAlways() *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.crashAll = true
-	return s
+	return s.add(pointRequest, 0, 0, fleet.Fault{Crash: true})
 }
 
 // RefuseConnect implements fleet.Disruptor.
 func (s *Script) RefuseConnect(attempt int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if attempt < s.refuseFirst || (s.refuseFrom >= 0 && attempt >= s.refuseFrom) {
-		s.refused++
-		return true
-	}
-	return false
+	return len(s.plan.At(pointConnect, "", uint64(attempt))) > 0
 }
 
 // SkipHeartbeat implements fleet.Disruptor.
 func (s *Script) SkipHeartbeat(seq uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dropBeats[seq] || (s.silentFrom > 0 && seq >= s.silentFrom) {
-		s.dropped++
-		return true
-	}
-	return false
+	return len(s.plan.At(pointHeartbeat, "", seq)) > 0
 }
 
-// OnRequest implements fleet.Disruptor.
+// OnRequest implements fleet.Disruptor: every fault due on request n
+// applies, the longest delay winning.
 func (s *Script) OnRequest(n int) fleet.Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.faults[n]
-	if s.crashAll {
-		f.Crash = true
-		ok = true
+	var f fleet.Fault
+	for _, d := range s.plan.At(pointRequest, "", uint64(n)) {
+		f.Delay = max(f.Delay, d.Delay)
+		f.Crash = f.Crash || d.Crash
+		f.StayDown = f.StayDown || d.StayDown
 	}
-	if s.delayAll > f.Delay {
-		f.Delay = s.delayAll
-		ok = true
-	}
-	if f.Overload {
-		s.overloaded++
-	}
-	if ok && (f.Crash || f.Delay > 0 || f.Overload) {
-		s.faulted++
+	for _, d := range s.plan.At(pointOverload, "", uint64(n)) {
+		f.Overload, f.RetryAfterMillis = true, d.RetryAfterMillis
 	}
 	return f
 }
 
 // ConnectsRefused counts dial attempts the script refused.
-func (s *Script) ConnectsRefused() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refused
-}
+func (s *Script) ConnectsRefused() int { return s.plan.Fired(pointConnect) }
 
 // HeartbeatsDropped counts beacons the script suppressed.
-func (s *Script) HeartbeatsDropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Script) HeartbeatsDropped() int { return s.plan.Fired(pointHeartbeat) }
 
 // OverloadsFired counts requests the script answered with backpressure.
-func (s *Script) OverloadsFired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.overloaded
-}
+func (s *Script) OverloadsFired() int { return s.plan.Fired(pointOverload) }
 
-// Faulted counts requests the script disrupted.
-func (s *Script) Faulted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faulted
-}
+// Faulted counts the request disruptions the script delivered: delays
+// and crashes, plus overload answers.
+func (s *Script) Faulted() int { return s.plan.Fired(pointRequest, pointOverload) }

@@ -12,15 +12,18 @@
 // Faults are scripted over absolute simulated-cycle windows, so a
 // failing chaos run replays exactly: the engine is deterministic and
 // every Disruptor callback fires on its single simulation goroutine in
-// cycle order. A Script is nevertheless mutex-protected, because the
-// chaos suite runs under -race and inspects counters from the test
-// goroutine while a measurement is in flight.
+// cycle order. A Script's rules and counts nevertheless live in a
+// lock-protected fault.Plan, because the chaos suite runs under -race
+// and inspects counters from the test goroutine while a measurement is
+// in flight.
 package faultperf
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"strconv"
+
+	"numaperf/internal/fault"
 )
 
 // ErrInjected marks the summary error a Script reports for faults it
@@ -28,35 +31,31 @@ import (
 // failures with errors.Is.
 var ErrInjected = errors.New("faultperf: injected fault")
 
-// window is a half-open cycle interval [From, To); To == 0 means
-// unbounded above.
-type window struct {
-	from, to uint64
-}
+// The sampler seams a Script scripts, one fault.Plan point each.
+const (
+	pointOverrun  = "overrun"
+	pointThrottle = "throttle"
+	pointStall    = "stall"
+	pointStarve   = "starve"
+)
 
-func (w window) contains(c uint64) bool {
-	return c >= w.from && (w.to == 0 || c < w.to)
-}
-
-// Script schedules sampler faults and implements perf.Disruptor. The
-// zero of each fault family injects nothing; scripts compose by
-// chaining. All counters are introspectable after (or during) a run.
+// Script schedules sampler faults and implements perf.Disruptor. Each
+// rule's payload is the end of its cycle window, which a throttle
+// storm lasts until. The zero Script injects nothing; scripts compose
+// by chaining. All counters are introspectable after (or during) a
+// run.
 type Script struct {
-	mu       sync.Mutex
-	overruns []window
-	storms   []window
-	stalls   []window
-	starve   map[int]int
-
-	recordsDropped int
-	throttlesFired int
-	slicesStarved  int
-	drainsStalled  int
+	plan fault.Plan[uint64]
 }
 
 // NewScript builds an empty script.
 func NewScript() *Script {
-	return &Script{starve: make(map[int]int)}
+	return &Script{}
+}
+
+func (s *Script) window(point string, from, to uint64) *Script {
+	s.plan.Add(fault.Rule[uint64]{Point: point, From: from, To: to, Do: to})
+	return s
 }
 
 // OverrunBurst schedules a buffer-overrun burst: every record arriving
@@ -64,132 +63,80 @@ func NewScript() *Script {
 // (to == 0 means until the end of the run). Returns the script for
 // chaining.
 func (s *Script) OverrunBurst(from, to uint64) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.overruns = append(s.overruns, window{from, to})
-	return s
+	return s.window(pointOverrun, from, to)
 }
 
 // ThrottleStorm schedules a forced interrupt throttle: the first record
 // arriving in cycles [from, to) trips a throttle lasting until cycle
 // to, exactly like a kernel whose interrupt budget is exhausted. The
-// window must be bounded (to > from).
+// window must be bounded (to > from); an unbounded one never fires.
 func (s *Script) ThrottleStorm(from, to uint64) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.storms = append(s.storms, window{from, to})
-	return s
+	if to == 0 {
+		return s
+	}
+	return s.window(pointThrottle, from, to)
 }
 
 // ObserverStall schedules a drain stall: PMI drains in cycles [from,
 // to) do not empty the sample buffer, so a bounded buffer overruns
 // (to == 0 means until the end of the run).
 func (s *Script) ObserverStall(from, to uint64) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stalls = append(s.stalls, window{from, to})
-	return s
+	return s.window(pointStall, from, to)
 }
 
 // Starve schedules dwell starvation: the next `slices` slices of the
 // given threshold index record nothing and count entirely as throttled
 // dwell — the hazard the adaptive cycler exists to repair.
 func (s *Script) Starve(threshold, slices int) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.starve[threshold] += slices
+	if slices > 0 {
+		s.plan.Add(fault.Rule[uint64]{Point: pointStarve, Target: strconv.Itoa(threshold), Times: slices})
+	}
 	return s
 }
 
 // SliceStarved implements perf.Disruptor.
 func (s *Script) SliceStarved(threshold int, startCycle uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.starve[threshold] <= 0 {
-		return false
-	}
-	s.starve[threshold]--
-	s.slicesStarved++
-	return true
+	return len(s.plan.At(pointStarve, strconv.Itoa(threshold), startCycle)) > 0
 }
 
 // DropRecord implements perf.Disruptor.
 func (s *Script) DropRecord(cycle uint64, threshold int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range s.overruns {
-		if w.contains(cycle) {
-			s.recordsDropped++
-			return true
-		}
-	}
-	return false
+	return len(s.plan.At(pointOverrun, "", cycle)) > 0
 }
 
 // ThrottleUntil implements perf.Disruptor.
 func (s *Script) ThrottleUntil(cycle uint64, threshold int) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range s.storms {
-		if w.contains(cycle) && w.to > cycle {
-			s.throttlesFired++
-			return w.to
-		}
+	if due := s.plan.At(pointThrottle, "", cycle); len(due) > 0 {
+		return due[0]
 	}
 	return 0
 }
 
 // DrainStalled implements perf.Disruptor.
 func (s *Script) DrainStalled(cycle uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range s.stalls {
-		if w.contains(cycle) {
-			s.drainsStalled++
-			return true
-		}
-	}
-	return false
+	return len(s.plan.At(pointStall, "", cycle)) > 0
 }
 
 // RecordsDropped returns how many records the script destroyed via
 // overrun bursts.
-func (s *Script) RecordsDropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recordsDropped
-}
+func (s *Script) RecordsDropped() int { return s.plan.Fired(pointOverrun) }
 
 // ThrottlesFired returns how many forced throttles the script tripped.
-func (s *Script) ThrottlesFired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.throttlesFired
-}
+func (s *Script) ThrottlesFired() int { return s.plan.Fired(pointThrottle) }
 
 // SlicesStarved returns how many threshold slices the script starved.
-func (s *Script) SlicesStarved() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slicesStarved
-}
+func (s *Script) SlicesStarved() int { return s.plan.Fired(pointStarve) }
 
 // DrainsStalled returns how many PMI drains the script wedged.
-func (s *Script) DrainsStalled() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainsStalled
-}
+func (s *Script) DrainsStalled() int { return s.plan.Fired(pointStall) }
 
 // Err summarises the faults that actually fired as an error wrapping
 // ErrInjected, or nil when the script never disturbed the run — the
 // chaos suite's proof that a "faulted" measurement was really faulted.
 func (s *Script) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.recordsDropped == 0 && s.throttlesFired == 0 && s.slicesStarved == 0 && s.drainsStalled == 0 {
+	if s.plan.Fired() == 0 {
 		return nil
 	}
 	return fmt.Errorf("%w: %d records dropped, %d throttles, %d slices starved, %d drains stalled",
-		ErrInjected, s.recordsDropped, s.throttlesFired, s.slicesStarved, s.drainsStalled)
+		ErrInjected, s.RecordsDropped(), s.ThrottlesFired(), s.SlicesStarved(), s.DrainsStalled())
 }

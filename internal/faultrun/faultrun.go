@@ -21,6 +21,7 @@ import (
 
 	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
+	"numaperf/internal/fault"
 )
 
 // ErrInjected marks every error fabricated by this package, so tests
@@ -81,16 +82,19 @@ type Fault struct {
 	Delay time.Duration
 }
 
+// pointRun is the one fault.Plan point a Script scripts: a run
+// attempt, targeted by cell key.
+const pointRun = "run"
+
 // Script maps cell keys to faults and implements the campaign's Wrap
 // seam. Cells without an entry run clean. A Script is safe for
 // concurrent use, so the same instance can fault cells running on
-// parallel campaign workers.
+// parallel campaign workers. The zero Script injects nothing.
 type Script struct {
+	plan fault.Plan[Fault]
+
 	mu      sync.Mutex
-	faults  map[string]*Fault
-	fired   map[string]int
 	release chan struct{}
-	runs    int
 	// inFlight counts runs currently inside the wrap; maxInFlight is
 	// its high-water mark — the chaos suite's proof that a parallel
 	// campaign really overlapped cell execution.
@@ -99,27 +103,21 @@ type Script struct {
 
 // NewScript builds an empty script.
 func NewScript() *Script {
-	return &Script{
-		faults:  make(map[string]*Fault),
-		fired:   make(map[string]int),
-		release: make(chan struct{}),
-	}
+	return &Script{}
 }
 
 // On schedules a fault for the cell with the given key (campaign
 // Cell.Key form, e.g. "p0/r1/b2") and returns the script for chaining.
+// When several faults are due on one attempt, the one scheduled last
+// applies.
 func (s *Script) On(key string, f Fault) *Script {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults[key] = &f
+	s.plan.Add(fault.Rule[Fault]{Point: pointRun, Target: key, Times: f.Times, Do: f})
 	return s
 }
 
 // Runs returns how many run attempts passed through the script.
 func (s *Script) Runs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs
+	return s.plan.Seen(pointRun)
 }
 
 // MaxInFlight returns the largest number of run attempts that were ever
@@ -131,13 +129,21 @@ func (s *Script) MaxInFlight() int {
 	return s.maxInFlight
 }
 
+// releaseCh returns the channel hung runs block on. Caller holds s.mu.
+func (s *Script) releaseCh() chan struct{} {
+	if s.release == nil {
+		s.release = make(chan struct{})
+	}
+	return s.release
+}
+
 // Release unblocks every run hung by the script, letting abandoned
 // goroutines exit. Call it from test cleanup; it is idempotent.
 func (s *Script) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	select {
-	case <-s.release:
+	case <-s.releaseCh():
 	default:
 		close(s.release)
 	}
@@ -147,31 +153,21 @@ func (s *Script) Release() {
 func (s *Script) Wrap(next campaign.RunFunc) campaign.RunFunc {
 	return func(c campaign.Cell) (map[counters.EventID]float64, error) {
 		s.mu.Lock()
-		s.runs++
 		s.inFlight++
-		if s.inFlight > s.maxInFlight {
-			s.maxInFlight = s.inFlight
-		}
+		s.maxInFlight = max(s.maxInFlight, s.inFlight)
+		release := s.releaseCh()
+		s.mu.Unlock()
 		defer func() {
 			s.mu.Lock()
 			s.inFlight--
 			s.mu.Unlock()
 		}()
-		f := s.faults[c.Key()]
-		var fire bool
-		if f != nil {
-			n := s.fired[c.Key()]
-			fire = f.Times == 0 || n < f.Times
-			if fire {
-				s.fired[c.Key()] = n + 1
-			}
-		}
-		release := s.release
-		s.mu.Unlock()
 
-		if !fire {
+		due := s.plan.Next(pointRun, c.Key())
+		if len(due) == 0 {
 			return next(c)
 		}
+		f := due[len(due)-1]
 		if f.Delay > 0 {
 			time.Sleep(f.Delay)
 		}
@@ -188,7 +184,7 @@ func (s *Script) Wrap(next campaign.RunFunc) campaign.RunFunc {
 			if err != nil {
 				return out, err
 			}
-			s.corrupt(out, f)
+			s.corrupt(out, &f)
 			return out, nil
 		case Slow:
 			return next(c)

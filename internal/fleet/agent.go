@@ -90,7 +90,8 @@ type ProbeAgent struct {
 	// Disruptor injects scripted faults (nil = none).
 	Disruptor Disruptor
 	// BackoffBase/BackoffMax/BackoffSeed parameterise the reconnect
-	// backoff.
+	// backoff, which grows over consecutive dial attempts and starts
+	// again from the base once a connection registers.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	BackoffSeed int64
@@ -159,14 +160,16 @@ func (a *ProbeAgent) Run(ctx context.Context) error {
 	clock := a.clock()
 
 	instance := uint64(1)
+	retries := 0 // dial attempts since the last registered connection
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if attempt > 0 {
-			if !sleepCtx(ctx, clock, backoff.Delay(attempt-1)) {
+			if !sleepCtx(ctx, clock, backoff.Delay(retries)) {
 				return ctx.Err()
 			}
+			retries++
 		}
 		if d := a.Disruptor; d != nil && d.RefuseConnect(attempt) {
 			a.logf("fleet: probe %q: scripted dial refusal (attempt %d)", a.ID, attempt)
@@ -178,7 +181,7 @@ func (a *ProbeAgent) Run(ctx context.Context) error {
 			continue
 		}
 		a.connects.Add(1)
-		err = a.serve(ctx, conn, instance)
+		err = a.serve(ctx, conn, instance, func() { retries = 0 })
 		instance++ // any future connection is a new life
 		switch {
 		case err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -225,8 +228,9 @@ func sleepCtx(ctx context.Context, clock clockx.Clock, d time.Duration) bool {
 }
 
 // serve runs one registered connection: handshake, heartbeat loop and
-// request loop.
-func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64) error {
+// request loop. It calls registered once the coordinator acknowledged
+// the handshake.
+func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64, registered func()) error {
 	defer conn.Close()
 	writeTimeout := a.WriteTimeout
 	if writeTimeout <= 0 {
@@ -270,6 +274,7 @@ func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64) 
 		return &probenet.ProtocolError{Reason: fmt.Sprintf("expected registration ack, got %s", t)}
 	}
 	a.logf("fleet: probe %q instance %d registered with %s", a.ID, instance, a.Coordinator)
+	registered()
 
 	// The context closes the connection, which unblocks both loops.
 	stop := make(chan struct{})

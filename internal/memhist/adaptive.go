@@ -28,12 +28,11 @@ const (
 
 // adaptiveCycler is a perf.ThresholdScheduler: strict round-robin
 // until a completed round shows starved thresholds, then a repair
-// queue ordered most-starved-first (ties broken by a seeded RNG, so a
-// given seed replays the exact schedule). With no faults every
+// queue ordered most-starved-first (ties broken by an RNG with a fixed
+// seed, so every run replays the exact schedule). With no faults every
 // threshold keeps its fair dwell, the queue stays empty, and the
 // schedule is byte-identical to the fixed cycler.
 type adaptiveCycler struct {
-	floor     float64
 	maxRepair int
 	rng       *rand.Rand
 	base      int
@@ -41,17 +40,11 @@ type adaptiveCycler struct {
 	queue     []int
 }
 
-func newAdaptiveCycler(floor float64, maxRepair int, seed int64) *adaptiveCycler {
-	if floor <= 0 {
-		floor = DefaultCoverageFloor
-	}
+func newAdaptiveCycler(maxRepair int) *adaptiveCycler {
 	if maxRepair <= 0 {
 		maxRepair = DefaultMaxRepairSlices
 	}
-	if seed == 0 {
-		seed = 1
-	}
-	return &adaptiveCycler{floor: floor, maxRepair: maxRepair, rng: rand.New(rand.NewSource(seed))}
+	return &adaptiveCycler{maxRepair: maxRepair, rng: rand.New(rand.NewSource(1))}
 }
 
 // Next serves the repair queue first, evaluates starvation whenever a
@@ -98,7 +91,7 @@ func (a *adaptiveCycler) evaluate(st *perf.CycleState) {
 		if a.repairs[k] >= a.maxRepair {
 			continue
 		}
-		if eff := float64(st.EffectiveCycles(k)); eff < a.floor*fair {
+		if eff := float64(st.EffectiveCycles(k)); eff < DefaultCoverageFloor*fair {
 			cands = append(cands, cand{k: k, eff: eff, tie: a.rng.Uint64()})
 		}
 	}

@@ -214,17 +214,13 @@ type Options struct {
 	// Reps averages this many cycled runs; default 1.
 	Reps int
 	// Adaptive enables mid-run dwell repair: thresholds starved below
-	// CoverageFloor of their fair dwell receive bounded repair slices.
-	// With no faults the schedule is identical to the fixed cycler.
+	// DefaultCoverageFloor of their fair dwell receive bounded repair
+	// slices. With no faults the schedule is identical to the fixed
+	// cycler.
 	Adaptive bool
-	// CoverageFloor is the repair trigger and the reported floor;
-	// default DefaultCoverageFloor.
-	CoverageFloor float64
 	// MaxRepairSlices bounds repair slices per threshold; default
 	// DefaultMaxRepairSlices.
 	MaxRepairSlices int
-	// AdaptiveSeed seeds the repair-queue tie-breaks; 0 selects 1.
-	AdaptiveSeed int64
 	// Sampler models the lossy PEBS facility (bounded buffer,
 	// interrupt throttling, scripted faults); zero value is lossless.
 	Sampler perf.SamplerOptions
@@ -258,7 +254,7 @@ func Collect(e *exec.Engine, body func(*exec.Thread), opts Options) (*Histogram,
 		if opts.Adaptive {
 			// A fresh cycler per rep: every rep replays the same
 			// deterministic schedule instead of inheriting repair debt.
-			copts.Scheduler = newAdaptiveCycler(opts.CoverageFloor, opts.MaxRepairSlices, opts.AdaptiveSeed)
+			copts.Scheduler = newAdaptiveCycler(opts.MaxRepairSlices)
 		}
 		tc, err := perf.CycleThresholds(e, body, bounds, slice, copts)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"numaperf/internal/exec"
+	"numaperf/internal/perf"
 	"numaperf/internal/topology"
 	"numaperf/internal/workloads"
 )
@@ -98,6 +99,13 @@ func (r ProbeRequest) Validate() error {
 // histogram is tagged Origin "local"; the remote client overwrites the
 // tag so callers can always tell where their data came from.
 func HandleRequest(req ProbeRequest) (*Histogram, error) {
+	return HandleRequestWith(req, perf.SamplerOptions{})
+}
+
+// HandleRequestWith is HandleRequest with the given sampler options on
+// the sampled path (an exact request takes no samples). Its Disruptor
+// is how a scenario replays PMU weather on every serve of a cell.
+func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogram, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -130,6 +138,7 @@ func HandleRequest(req ProbeRequest) (*Histogram, error) {
 			SliceCycles: req.SliceCycles,
 			Reps:        req.Reps,
 			Adaptive:    req.Adaptive,
+			Sampler:     sampler,
 		})
 	}
 	if err != nil {

@@ -131,12 +131,8 @@ type ProbeServer struct {
 	// admission — one that found the probe idle — ends the episode and
 	// restores full fidelity. 0 disables brownout.
 	BrownoutAfter int
-	// RetryAfterBase/RetryAfterMax bound the deterministic seeded-jitter
-	// retry-after hints attached to overloaded/shutting-down errors.
-	// Defaults 25ms / 500ms.
-	RetryAfterBase time.Duration
-	RetryAfterMax  time.Duration
-	// Seed seeds the retry-after jitter; 0 selects 1.
+	// Seed seeds the retry-after jitter (retryAfterBase..retryAfterMax);
+	// 0 selects 1.
 	Seed int64
 	// Clock paces queue waits; nil selects the system clock. Tests
 	// inject a clockx.Fake to walk queued requests into their deadlines
@@ -246,17 +242,11 @@ func (s *ProbeServer) init() {
 		if s.WriteTimeout <= 0 {
 			s.WriteTimeout = 30 * time.Second
 		}
-		if s.RetryAfterBase <= 0 {
-			s.RetryAfterBase = 25 * time.Millisecond
-		}
-		if s.RetryAfterMax <= 0 {
-			s.RetryAfterMax = 500 * time.Millisecond
-		}
 		seed := s.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		s.hint = probenet.NewBackoff(s.RetryAfterBase, s.RetryAfterMax, seed)
+		s.hint = probenet.NewBackoff(retryAfterBase, retryAfterMax, seed)
 		if s.Clock == nil {
 			s.Clock = clockx.System()
 		}
@@ -268,6 +258,13 @@ func (s *ProbeServer) init() {
 		s.conns = make(map[*probeConn]struct{})
 	})
 }
+
+// Retry-after hints on overloaded and shutting-down errors grow from
+// retryAfterBase to at most retryAfterMax with seeded jitter.
+const (
+	retryAfterBase = 25 * time.Millisecond
+	retryAfterMax  = 500 * time.Millisecond
+)
 
 // retryAfterMillis draws the next backpressure hint: a capped seeded-
 // jitter exponential keyed to the depth of the current pressure episode,

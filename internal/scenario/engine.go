@@ -19,6 +19,8 @@ import (
 	"numaperf/internal/evsel"
 	"numaperf/internal/exec"
 	"numaperf/internal/faultdata"
+	"numaperf/internal/faultdisk"
+	"numaperf/internal/faultfleet"
 	"numaperf/internal/faultnet"
 	"numaperf/internal/faultperf"
 	"numaperf/internal/faultrun"
@@ -54,7 +56,7 @@ func (o RunOptions) logf(format string, args ...any) {
 	}
 }
 
-// outcome carries everything the assertion evaluator may inspect after
+// outcome carries everything the assertion checks may inspect after
 // the stage ran.
 type outcome struct {
 	origin     string
@@ -64,17 +66,12 @@ type outcome struct {
 	cmp        *evsel.Comparison
 	perfScript *faultperf.Script
 	fleetRep   *fleet.Report
-	replayed   int
-	truncated  bool
-	assignDep  bool
 	render     string
 	records    []Record
 
-	// Journal end state (fleet mode with fleet.journal): whether a disk
-	// fault cost the run its crash-resume protection, and the offline
-	// fsck verdict of what the campaign left on disk.
-	journalDegraded bool
-	journalVerify   string
+	// journalVerify is the offline fsck verdict of what a fleet
+	// campaign with fleet.journal left on disk.
+	journalVerify string
 
 	// Overload-storm telemetry (fetch mode): the exact shed tally the
 	// storm forced, and whether the queued fetch was served at brownout
@@ -82,6 +79,67 @@ type outcome struct {
 	sheds          int
 	brownoutServed bool
 	brownoutMarked bool
+}
+
+// rig holds the injector scripts a stage's fault events armed. A stage
+// builds one with newRig, which arms every fault through its registry
+// entry, then drives the scripts it reads back. The zero value of every
+// script injects nothing, so a stage may wire them in unconditionally.
+type rig struct {
+	mach  *topology.Machine     // converts perf windows to engine cycles
+	plans map[string]*probePlan // fleet members by probe ID
+
+	conns       map[int]*faultnet.ConnScript // fetch: faults per accepted connection
+	failAccepts int
+	storm       int // sheds the fetch-mode overload storm forces; 0 = no storm
+
+	run  faultrun.Script
+	data []func(*faultdata.Injector, *perf.Measurement) *perf.Measurement
+
+	weather weather // PMU weather on every probe (collect: the one run)
+
+	disk       faultdisk.Script
+	kill       faultfleet.CoordinatorScript
+	crash      bool // a fault kills the coordinator: drive the kill-resume path
+	midScatter bool // the kill lands mid-scatter
+	late       int  // probes whose first dials are refused
+}
+
+func newRig(mach *topology.Machine, plans []*probePlan, faults []Event) *rig {
+	r := &rig{mach: mach, plans: make(map[string]*probePlan), conns: make(map[int]*faultnet.ConnScript)}
+	for _, p := range plans {
+		r.plans[p.id] = p
+	}
+	for _, ev := range faults {
+		registry[ev.Action].arm(r, ev)
+	}
+	return r
+}
+
+// conn returns the fault script of accepted connection i.
+func (r *rig) conn(i int) *faultnet.ConnScript {
+	if r.conns[i] == nil {
+		r.conns[i] = &faultnet.ConnScript{}
+	}
+	return r.conns[i]
+}
+
+// weather is replayable PMU weather: each serve builds a fresh
+// faultperf script from it, so every serve of a cell — first dispatch,
+// re-dispatch or the local reference — meets identical weather.
+type weather []func(*faultperf.Script)
+
+func (w weather) script() *faultperf.Script {
+	s := faultperf.NewScript()
+	for _, add := range w {
+		add(s)
+	}
+	return s
+}
+
+// handle serves a probe request under this weather.
+func (w weather) handle(req memhist.ProbeRequest) (*memhist.Histogram, error) {
+	return memhist.HandleRequestWith(req, perf.SamplerOptions{Disruptor: w.script()})
 }
 
 // Run executes a validated scenario and returns its deterministic run
@@ -138,7 +196,7 @@ func Run(sc *Scenario, opts RunOptions) (*Result, error) {
 	}
 	res.Records = append(res.Records, out.records...)
 	for _, ev := range asserts {
-		ok, detail := evalAssert(sc, ev, out)
+		ok, detail := registry[ev.Action].check(sc, ev, out)
 		if ok {
 			res.Passed++
 		} else {
@@ -156,7 +214,7 @@ func splitEvents(events []Event) (faults, asserts []Event) {
 	sorted := append([]Event(nil), events...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 	for _, ev := range sorted {
-		if strings.HasPrefix(ev.Action, "assert.") {
+		if registry[ev.Action].check != nil {
 			asserts = append(asserts, ev)
 		} else {
 			faults = append(faults, ev)
@@ -221,9 +279,9 @@ func runFetch(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts 
 	if err != nil {
 		return nil, err
 	}
-	perConn := map[int]*faultnet.ConnScript{}
+	r := newRig(nil, nil, faults)
 	script := func(i int) *faultnet.ConnScript {
-		cs := perConn[i]
+		cs := r.conns[i]
 		if cs == nil {
 			return cs
 		}
@@ -235,36 +293,11 @@ func runFetch(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts 
 		}
 		return cs
 	}
-	failAccepts := 0
-	var storm *Event
-	for i, ev := range faults {
-		cs := perConn[ev.Conn]
-		if cs == nil {
-			cs = &faultnet.ConnScript{}
-			perConn[ev.Conn] = cs
-		}
-		switch ev.Action {
-		case "net.delay_response":
-			cs.WriteDelay = ev.Delay.D()
-		case "net.corrupt_response":
-			cs.CorruptWriteAt = ev.Offset
-		case "net.truncate_response":
-			cs.TruncateWriteAt = ev.Offset
-		case "net.corrupt_request":
-			cs.CorruptReadAt = ev.Offset
-		case "net.reset_request":
-			cs.ResetReadAt = ev.Offset
-		case "net.refuse_accepts":
-			failAccepts = ev.Count
-		case "net.overload_storm":
-			storm = &faults[i]
-		}
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	fl := faultnet.Wrap(ln, faultnet.Options{Seed: seed, FailFirstAccepts: failAccepts, Script: script})
+	fl := faultnet.Wrap(ln, faultnet.Options{Seed: seed, FailFirstAccepts: r.failAccepts, Script: script})
 	srv := &memhist.ProbeServer{
 		MaxConns:      8,
 		MaxInflight:   fs.MaxInflight,
@@ -273,7 +306,7 @@ func runFetch(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts 
 		Seed:          seed,
 	}
 	var hogEntered, hogRelease chan struct{}
-	if storm != nil {
+	if r.storm > 0 {
 		// The first request to reach the measurement slot is the storm's
 		// hog: it parks there until the engine releases it, so admission
 		// decisions during the storm are a pure function of the scenario.
@@ -300,8 +333,8 @@ func runFetch(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts 
 		timeout = 30 * time.Second
 	}
 	out := &outcome{}
-	if storm != nil {
-		bh, sheds, serr := driveOverloadStorm(ln.Addr().String(), req, storm.Count, srv, hogEntered, hogRelease, timeout, opts)
+	if r.storm > 0 {
+		bh, sheds, serr := driveOverloadStorm(ln.Addr().String(), req, r.storm, srv, hogEntered, hogRelease, timeout, opts)
 		if serr != nil {
 			return nil, fmt.Errorf("scenario: overload storm: %w", serr)
 		}
@@ -470,21 +503,6 @@ func stormShed(addr string, req memhist.ProbeRequest) error {
 // --- campaign stage: faultrun inside the supervised runner, faultdata
 // on the gathered measurement. ---
 
-func runKind(action string) faultrun.Kind {
-	switch action {
-	case "run.hang":
-		return faultrun.Hang
-	case "run.panic":
-		return faultrun.Panic
-	case "run.exit":
-		return faultrun.Exit
-	case "run.corrupt":
-		return faultrun.Corrupt
-	default:
-		return faultrun.Slow
-	}
-}
-
 func runCampaignStage(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts RunOptions) (*outcome, error) {
 	cs := sc.Campaign
 	wl, err := lookupWorkload(cs.Workload)
@@ -510,26 +528,8 @@ func runCampaignStage(sc *Scenario, seed int64, faults []Event, fake *clockx.Fak
 	case "unlimited":
 		mode = perf.Unlimited
 	}
-	script := faultrun.NewScript()
-	defer script.Release()
-	haveRun := false
-	var dataEvents []Event
-	for _, ev := range faults {
-		switch {
-		case strings.HasPrefix(ev.Action, "run."):
-			haveRun = true
-			script.On(ev.Cell, faultrun.Fault{
-				Kind:     runKind(ev.Action),
-				Times:    ev.Times,
-				ExitCode: ev.ExitCode,
-				Event:    ev.Event,
-				NaN:      ev.NaN,
-				Delay:    ev.Delay.D(),
-			})
-		case strings.HasPrefix(ev.Action, "data."):
-			dataEvents = append(dataEvents, ev)
-		}
-	}
+	r := newRig(nil, nil, faults)
+	defer r.run.Release()
 	threads := cs.Threads
 	if len(threads) == 0 {
 		threads = []int{1}
@@ -560,7 +560,7 @@ func runCampaignStage(sc *Scenario, seed int64, faults []Event, fake *clockx.Fak
 	if runTimeout == 0 {
 		runTimeout = 10 * time.Second
 	}
-	r := campaign.Runner{
+	runner := campaign.Runner{
 		Spec: campaign.Spec{ParamName: "threads", Points: points, Events: evIDs, Reps: reps, Mode: mode, Seed: seed},
 		Opts: campaign.Options{
 			RunTimeout:  runTimeout,
@@ -568,13 +568,11 @@ func runCampaignStage(sc *Scenario, seed int64, faults []Event, fake *clockx.Fak
 			KeepGoing:   cs.KeepGoing,
 			Concurrency: workers,
 			Sleep:       func(d time.Duration) { fake.Advance(d) },
+			Wrap:        r.run.Wrap,
 			Logf:        opts.Logf,
 		},
 	}
-	if haveRun {
-		r.Opts.Wrap = script.Wrap
-	}
-	rep, err := r.Run()
+	rep, err := runner.Run()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: campaign stage: %w", err)
 	}
@@ -612,30 +610,15 @@ func runCampaignStage(sc *Scenario, seed int64, faults []Event, fake *clockx.Fak
 		Gaps: gaps, Quarantined: quar, Points: pts,
 	}})
 
-	if len(dataEvents) > 0 {
+	if len(r.data) > 0 {
 		if len(rep.Points) == 0 || rep.Points[0].M == nil {
 			return nil, errors.New("scenario: data stage has no measurement to poison")
 		}
 		base := rep.Points[0].M
 		inj := faultdata.New(seed)
 		faulted := base
-		for _, ev := range dataEvents {
-			switch ev.Action {
-			case "data.poison_samples":
-				faulted = inj.PoisonSamples(faulted, ev.Frac)
-			case "data.flatten_series":
-				id, ok := counters.Lookup(ev.Event)
-				if !ok {
-					return nil, &SpecError{Field: "events", Msg: fmt.Sprintf("unknown counter %q", ev.Event)}
-				}
-				faulted = inj.FlattenSeries(faulted, id, ev.Value)
-			case "data.inject_outliers":
-				factor := ev.Factor
-				if factor == 0 {
-					factor = 1000
-				}
-				faulted = inj.InjectOutliers(faulted, ev.Frac, factor)
-			}
+		for _, poison := range r.data {
+			faulted = poison(inj, faulted)
 		}
 		cmp, err := evsel.Compare(base, faulted)
 		if err != nil {
@@ -665,21 +648,6 @@ func cyclesAt(d Duration, mach *topology.Machine) uint64 {
 	return uint64(d.D().Seconds() * float64(mach.FreqHz))
 }
 
-func armPerf(script *faultperf.Script, ev Event, mach *topology.Machine) {
-	from := cyclesAt(ev.At, mach)
-	to := cyclesAt(ev.Until, mach)
-	switch ev.Action {
-	case "perf.overrun_burst":
-		script.OverrunBurst(from, to)
-	case "perf.throttle_storm":
-		script.ThrottleStorm(from, to)
-	case "perf.observer_stall":
-		script.ObserverStall(from, to)
-	case "perf.starve":
-		script.Starve(ev.Threshold, ev.Slices)
-	}
-}
-
 func runCollect(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*outcome, error) {
 	cs := sc.Collect
 	wl, err := lookupWorkload(cs.Workload)
@@ -702,10 +670,7 @@ func runCollect(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*out
 	if err != nil {
 		return nil, err
 	}
-	script := faultperf.NewScript()
-	for _, ev := range faults {
-		armPerf(script, ev, mach)
-	}
+	script := newRig(mach, nil, faults).weather.script()
 	opts.logf("collect: measuring %s on %s", cs.Workload, mach.Name)
 	h, err := memhist.Collect(e, wl.Body(), memhist.Options{
 		Bounds:      cs.Bounds,
@@ -743,104 +708,4 @@ func runCollect(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*out
 		Histogram:      hj,
 	}})
 	return out, nil
-}
-
-// --- assertions ---
-
-func evalAssert(sc *Scenario, ev Event, out *outcome) (bool, string) {
-	switch ev.Action {
-	case "assert.complete":
-		if sc.Mode == ModeCampaign {
-			c := out.camp
-			return c.Complete(), fmt.Sprintf("cells=%d gaps=%d quarantined=%d", c.Cells, len(c.Gaps), len(c.Quarantined))
-		}
-		r := out.fleetRep
-		return r.Complete(), fmt.Sprintf("cells=%d completed=%d gaps=%d", r.Cells, r.Completed, len(r.Gaps))
-	case "assert.gaps":
-		var got int
-		if sc.Mode == ModeCampaign {
-			got = len(out.camp.Gaps)
-		} else {
-			got = len(out.fleetRep.Gaps)
-		}
-		return got == ev.Count, fmt.Sprintf("gaps=%d want=%d", got, ev.Count)
-	case "assert.retried":
-		got := out.camp.Retried
-		return float64(got) >= *ev.Min, fmt.Sprintf("retried=%d min=%g", got, *ev.Min)
-	case "assert.replayed":
-		return float64(out.replayed) >= *ev.Min, fmt.Sprintf("replayed=%d min=%g", out.replayed, *ev.Min)
-	case "assert.truncated":
-		return out.truncated, fmt.Sprintf("truncated=%v", out.truncated)
-	case "assert.quarantined":
-		if sc.Mode == ModeCampaign {
-			for _, q := range out.camp.Quarantined {
-				if q.Name == ev.Target {
-					return true, fmt.Sprintf("counter %s quarantined after %d strikes", q.Name, q.Strikes)
-				}
-			}
-			return false, fmt.Sprintf("counter %s not quarantined", ev.Target)
-		}
-		for _, q := range out.fleetRep.Quarantined {
-			if q.ID == ev.Target {
-				return true, fmt.Sprintf("probe %s quarantined", q.ID)
-			}
-		}
-		return false, fmt.Sprintf("probe %s not quarantined", ev.Target)
-	case "assert.coverage":
-		if out.hist == nil {
-			return false, "no deterministic histogram to assess"
-		}
-		c := out.hist.Coverage()
-		lo := *ev.Min
-		hi := 1.0
-		if ev.Max != nil {
-			hi = *ev.Max
-		}
-		return c >= lo && c <= hi, fmt.Sprintf("coverage=%.4f range=[%g, %g]", c, lo, hi)
-	case "assert.records_dropped":
-		got := out.perfScript.RecordsDropped()
-		return float64(got) >= *ev.Min, fmt.Sprintf("records_dropped=%d min=%g", got, *ev.Min)
-	case "assert.throttles":
-		got := out.perfScript.ThrottlesFired()
-		return float64(got) >= *ev.Min, fmt.Sprintf("throttles=%d min=%g", got, *ev.Min)
-	case "assert.slices_starved":
-		got := out.perfScript.SlicesStarved()
-		return float64(got) >= *ev.Min, fmt.Sprintf("slices_starved=%d min=%g", got, *ev.Min)
-	case "assert.degraded":
-		return out.cmp.Degraded(), fmt.Sprintf("degraded=%v", out.cmp.Degraded())
-	case "assert.hard_degraded":
-		return out.cmp.HardDegraded(), fmt.Sprintf("hard_degraded=%v", out.cmp.HardDegraded())
-	case "assert.finite_render":
-		finite := !strings.Contains(out.render, "NaN") && !strings.Contains(out.render, "Inf")
-		return finite, fmt.Sprintf("finite=%v", finite)
-	case "assert.matches_reference":
-		return out.matchesRef, fmt.Sprintf("matches_reference=%v", out.matchesRef)
-	case "assert.brownout":
-		return out.brownoutServed && out.brownoutMarked,
-			fmt.Sprintf("brownout_served=%v marked=%v", out.brownoutServed, out.brownoutMarked)
-	case "assert.backpressure":
-		if sc.Mode == ModeFetch {
-			return float64(out.sheds) >= *ev.Min, fmt.Sprintf("sheds=%d min=%g", out.sheds, *ev.Min)
-		}
-		// The fleet deferral tally varies with dispatch scheduling, so
-		// the detail records only the threshold verdict — keeping the
-		// report byte-identical across runs.
-		ok := float64(out.fleetRep.Backpressure) >= *ev.Min
-		return ok, fmt.Sprintf("deferrals>=%g met=%v", *ev.Min, ok)
-	case "assert.journal":
-		state := "clean"
-		if out.journalDegraded {
-			state = "degraded"
-		}
-		ok := state == ev.Equals
-		if ev.Equals == "clean" {
-			// A clean journal must also fsck clean on disk — degradation
-			// and corruption both fail the assertion.
-			ok = ok && out.journalVerify == "clean"
-		}
-		return ok, fmt.Sprintf("journal=%s fsck=%s want=%s", state, out.journalVerify, ev.Equals)
-	case "assert.origin":
-		return out.origin == ev.Equals, fmt.Sprintf("origin=%s want=%s", out.origin, ev.Equals)
-	}
-	return false, "unknown assertion"
 }

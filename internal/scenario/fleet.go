@@ -10,17 +10,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
-	"numaperf/internal/exec"
-	"numaperf/internal/faultdisk"
 	"numaperf/internal/faultfleet"
-	"numaperf/internal/faultperf"
 	"numaperf/internal/fleet"
 	"numaperf/internal/journal"
 	"numaperf/internal/memhist"
-	"numaperf/internal/perf"
 )
 
 // The fleet stage runs a real coordinator plus in-process probe agents
@@ -38,15 +33,8 @@ type probePlan struct {
 	id       string
 	template string
 	chaos    []string
-	script   *faultfleet.Script
-	perf     []Event
-}
-
-func (p *probePlan) ensureScript() *faultfleet.Script {
-	if p.script == nil {
-		p.script = faultfleet.New()
-	}
-	return p.script
+	script   faultfleet.Script
+	weather  weather
 }
 
 // resolveFleet turns the probe roster, generator templates and chaos
@@ -89,15 +77,15 @@ func resolveFleet(fs *FleetSpec, seed int64) []*probePlan {
 		for _, p := range plans {
 			if rng.Float64() < fs.Chaos.CrashRate {
 				p.chaos = append(p.chaos, "crash")
-				p.ensureScript().CrashOnRequest(1)
+				p.script.CrashOnRequest(1)
 			}
 			if rng.Float64() < fs.Chaos.SilenceRate {
 				p.chaos = append(p.chaos, "silence")
-				p.ensureScript().SilenceHeartbeatsFrom(3)
+				p.script.SilenceHeartbeatsFrom(3)
 			}
 			if rng.Float64() < fs.Chaos.DelayRate {
 				p.chaos = append(p.chaos, "delay")
-				p.ensureScript().DelayEveryRequest(15 * time.Millisecond)
+				p.script.DelayEveryRequest(15 * time.Millisecond)
 			}
 		}
 	}
@@ -107,102 +95,17 @@ func resolveFleet(fs *FleetSpec, seed int64) []*probePlan {
 func applyTemplate(p *probePlan, t Template) {
 	switch {
 	case t.Flap:
-		p.ensureScript().CrashAlways()
+		p.script.CrashAlways()
 	case t.CrashOnRequest > 0 && t.StayDown:
-		p.ensureScript().CrashOnRequestStayDown(t.CrashOnRequest)
+		p.script.CrashOnRequestStayDown(t.CrashOnRequest)
 	case t.CrashOnRequest > 0:
-		p.ensureScript().CrashOnRequest(t.CrashOnRequest)
+		p.script.CrashOnRequest(t.CrashOnRequest)
 	}
 	if t.SilenceFrom > 0 {
-		p.ensureScript().SilenceHeartbeatsFrom(t.SilenceFrom)
+		p.script.SilenceHeartbeatsFrom(t.SilenceFrom)
 	}
 	if t.DelayRequests > 0 {
-		p.ensureScript().DelayEveryRequest(t.DelayRequests.D())
-	}
-}
-
-// armFleetEvent compiles one timeline fleet.* fault onto its target's
-// script.
-func armFleetEvent(p *probePlan, ev Event) {
-	s := p.ensureScript()
-	switch ev.Action {
-	case "fleet.refuse_connects":
-		s.RefuseFirstConnects(ev.Count)
-	case "fleet.refuse_reconnects":
-		s.RefuseReconnects()
-	case "fleet.drop_heartbeat":
-		s.DropHeartbeat(ev.Seq)
-	case "fleet.silence_heartbeats":
-		s.SilenceHeartbeatsFrom(ev.Seq)
-	case "fleet.delay_request":
-		s.DelayRequest(ev.N, ev.Delay.D())
-	case "fleet.delay_every_request":
-		s.DelayEveryRequest(ev.Delay.D())
-	case "fleet.crash_request":
-		if ev.StayDown {
-			s.CrashOnRequestStayDown(ev.N)
-		} else {
-			s.CrashOnRequest(ev.N)
-		}
-	case "fleet.flap":
-		s.CrashAlways()
-	case "fleet.overload_answers":
-		s.OverloadRequests(ev.N, ev.Count, ev.RetryAfter.D())
-	}
-}
-
-// perfHandle mirrors memhist.HandleRequest with PMU weather compiled
-// into the sampler: a fresh faultperf script per request, so every
-// serve of a cell — first dispatch, re-dispatch, or the local
-// reference — meets identical weather and the byte-identity contract
-// survives.
-func perfHandle(events []Event) func(memhist.ProbeRequest) (*memhist.Histogram, error) {
-	return func(req memhist.ProbeRequest) (*memhist.Histogram, error) {
-		if err := req.Validate(); err != nil {
-			return nil, err
-		}
-		wl, err := lookupWorkload(req.Workload)
-		if err != nil {
-			return nil, err
-		}
-		mach, err := lookupMachine(req.Machine)
-		if err != nil {
-			return nil, err
-		}
-		threads := req.Threads
-		if threads <= 0 {
-			threads = 1
-		}
-		e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: threads, Seed: req.Seed})
-		if err != nil {
-			return nil, err
-		}
-		if req.Exact {
-			h, err := memhist.Exact(e, wl.Body(), req.Bounds, 1)
-			if err != nil {
-				return nil, err
-			}
-			h.Source = wl.Name()
-			h.Origin = memhist.OriginLocal
-			return h, nil
-		}
-		script := faultperf.NewScript()
-		for _, ev := range events {
-			armPerf(script, ev, mach)
-		}
-		h, err := memhist.Collect(e, wl.Body(), memhist.Options{
-			Bounds:      req.Bounds,
-			SliceCycles: req.SliceCycles,
-			Reps:        req.Reps,
-			Adaptive:    req.Adaptive,
-			Sampler:     perf.SamplerOptions{Disruptor: script},
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.Source = wl.Name()
-		h.Origin = memhist.OriginLocal
-		return h, nil
+		p.script.DelayEveryRequest(t.DelayRequests.D())
 	}
 }
 
@@ -256,7 +159,7 @@ func (h *agentHarness) stop() {
 	}
 }
 
-func startAgents(addr string, fs *FleetSpec, plans []*probePlan, uniformPerf []Event, opts RunOptions) *agentHarness {
+func startAgents(addr string, fs *FleetSpec, plans []*probePlan, uniform weather, opts RunOptions) *agentHarness {
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &agentHarness{cancel: cancel}
 	hb := 10 * time.Millisecond
@@ -264,24 +167,22 @@ func startAgents(addr string, fs *FleetSpec, plans []*probePlan, uniformPerf []E
 		hb = fs.Heartbeat.D()
 	}
 	for _, p := range plans {
-		var handle func(memhist.ProbeRequest) (*memhist.Histogram, error)
-		if len(p.perf) > 0 {
-			handle = perfHandle(p.perf)
-		} else if len(uniformPerf) > 0 {
-			handle = perfHandle(uniformPerf)
+		w := p.weather
+		if len(w) == 0 {
+			w = uniform
 		}
 		a := &fleet.ProbeAgent{
 			ID:                p.id,
 			Coordinator:       addr,
 			HeartbeatInterval: hb,
-			Handle:            handle,
+			Disruptor:         &p.script,
 			BackoffBase:       5 * time.Millisecond,
 			BackoffMax:        15 * time.Millisecond,
 			BackoffSeed:       int64(len(p.id)),
 			Logf:              opts.Logf,
 		}
-		if p.script != nil {
-			a.Disruptor = p.script
+		if len(w) > 0 {
+			a.Handle = w.handle
 		}
 		done := make(chan struct{})
 		h.done = append(h.done, done)
@@ -318,31 +219,16 @@ func shutdownCoordinator(c *fleet.Coordinator) {
 func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*outcome, []FleetProbe, error) {
 	fs := sc.Fleet
 	plans := resolveFleet(fs, seed)
-	byID := make(map[string]*probePlan, len(plans))
-	for _, p := range plans {
-		byID[p.id] = p
+	mach, err := lookupMachine(fs.Campaign.Machine)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	var uniformPerf []Event
-	var killEvents, diskEvents []Event
+	r := newRig(mach, plans, faults)
+	// Per-probe PMU weather makes the merged histogram depend on which
+	// probe served which cell.
 	assignDep := false
-	for _, ev := range faults {
-		switch {
-		case ev.Action == "fleet.kill_coordinator":
-			killEvents = append(killEvents, ev)
-		case strings.HasPrefix(ev.Action, "disk."):
-			diskEvents = append(diskEvents, ev)
-		case strings.HasPrefix(ev.Action, "perf."):
-			if ev.Target == "" || ev.Target == "*" {
-				uniformPerf = append(uniformPerf, ev)
-			} else {
-				p := byID[ev.Target]
-				p.perf = append(p.perf, ev)
-				assignDep = true
-			}
-		default:
-			armFleetEvent(byID[ev.Target], ev)
-		}
+	for _, p := range plans {
+		assignDep = assignDep || len(p.weather) > 0
 	}
 
 	spec := fleet.Spec{
@@ -373,59 +259,10 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 		fopts.JournalPath = filepath.Join(scratch, "fleet.journal")
 		fopts.JournalSegmentBytes = fs.SegmentBytes
 	}
-	// disk.* events compile onto one faultdisk script threaded under the
-	// journal. The same script serves both coordinator lives of a
+	// The same disk script serves both coordinator lives of a
 	// kill-resume scenario — its one-shot faults never refire.
-	var diskScript *faultdisk.Script
-	diskKills := 0
-	for _, ev := range diskEvents {
-		if diskScript == nil {
-			diskScript = faultdisk.NewScript()
-		}
-		switch ev.Action {
-		case "disk.enospc":
-			diskScript.ENOSPCOnWrite(ev.N)
-		case "disk.sync_fail":
-			diskScript.FailSync(ev.N)
-		case "disk.torn_write":
-			diskKills++
-			diskScript.TearOnWrite(ev.N)
-		case "disk.kill":
-			diskKills++
-			switch ev.Op {
-			case "write":
-				diskScript.KillOnWrite(ev.N)
-			case "sync":
-				diskScript.KillOnSync(ev.N)
-			case "create":
-				diskScript.KillOnCreate(ev.N)
-			case "syncdir":
-				diskScript.KillOnSyncDir(ev.N)
-			}
-		}
-	}
-	if diskScript != nil {
-		fopts.JournalFS = diskScript.FS(nil)
-	}
-	var killScript *faultfleet.CoordinatorScript
-	for _, ev := range killEvents {
-		if killScript == nil {
-			killScript = faultfleet.NewCoordinatorScript()
-		}
-		switch {
-		case ev.OnDispatch > 0:
-			killScript.KillOnDispatch(ev.OnDispatch)
-		case ev.Window == "before_commit":
-			killScript.KillBeforeCommit(ev.N)
-		case ev.Window == "after_write":
-			killScript.KillAfterWrite(ev.N)
-		case ev.Window == "torn":
-			killScript.TearCommit(ev.N)
-		}
-	}
-	if killScript != nil {
-		fopts.Disruptor = killScript
-	}
+	fopts.JournalFS = r.disk.FS(nil)
+	fopts.Disruptor = &r.kill
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -437,20 +274,12 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 	coord := c1
 	defer func() { shutdownCoordinator(coord) }()
 
-	agents := startAgents(addr, fs, plans, uniformPerf, opts)
+	agents := startAgents(addr, fs, plans, r.weather, opts)
 	defer agents.stop()
 
 	// Probes whose first dials are scripted to fail register late; wait
 	// only for the ones that can reach the coordinator immediately.
-	waitN := len(plans)
-	for _, ev := range faults {
-		if ev.Action == "fleet.refuse_connects" {
-			waitN--
-		}
-	}
-	if waitN < 1 {
-		waitN = 1
-	}
+	waitN := max(len(plans)-r.late, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	if err := c1.WaitForProbes(ctx, waitN); err != nil {
@@ -458,7 +287,7 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 	}
 
 	var rep *fleet.Report
-	if killScript != nil || diskKills > 0 {
+	if r.crash {
 		opts.logf("fleet: driving campaign into scripted coordinator kill")
 		_, kerr := c1.RunCampaign(ctx, spec)
 		// A coordinator disruptor kill and a disk kill are both crashes
@@ -466,14 +295,7 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 		if !errors.Is(kerr, fleet.ErrCoordinatorKilled) && !errors.Is(kerr, journal.ErrCrashed) {
 			return nil, nil, fmt.Errorf("scenario: campaign returned %v, want a scripted kill", kerr)
 		}
-		fired := 0
-		if killScript != nil {
-			fired += killScript.Fired()
-		}
-		if diskScript != nil {
-			fired += diskScript.Fired()
-		}
-		if fired == 0 {
+		if r.kill.Fired()+r.disk.Fired() == 0 {
 			return nil, nil, errors.New("scenario: coordinator kill script never fired")
 		}
 		shutdownCoordinator(c1)
@@ -504,8 +326,7 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 		}
 	}
 
-	out := &outcome{fleetRep: rep, replayed: rep.Replayed, truncated: rep.Truncated, assignDep: assignDep}
-	out.journalDegraded = rep.JournalDegraded
+	out := &outcome{fleetRep: rep}
 	if fs.Journal {
 		// Offline fsck over whatever the campaign left on disk, through
 		// the real filesystem (scripted faults are spent by now). The
@@ -526,8 +347,8 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 	var histJSON json.RawMessage
 	if !assignDep && rep.Histogram != nil {
 		handle := memhist.HandleRequest
-		if len(uniformPerf) > 0 {
-			handle = perfHandle(uniformPerf)
+		if len(r.weather) > 0 {
+			handle = r.weather.handle
 		}
 		var hs []*memhist.Histogram
 		for i := 0; i < spec.Cells; i++ {
@@ -561,10 +382,8 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 	// journal pins which cells committed before the crash) but not for
 	// mid-scatter kills, where it depends on which dispatches landed.
 	recReplayed := rep.Replayed
-	for _, ev := range killEvents {
-		if ev.OnDispatch > 0 {
-			recReplayed = 0
-		}
+	if r.midScatter {
+		recReplayed = 0
 	}
 	var gapIdx []int
 	for _, g := range rep.Gaps {

@@ -13,9 +13,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // goldenScenarios are the library entries whose reports are pinned
 // byte-for-byte. One per deterministic stage kind: a campaign with a
 // transient run fault, a collect under a perf throttle storm, a fleet
-// campaign surviving a probe crash, and the two overload storms
-// (single-probe brownout + recovery, fleet backpressure). Regenerate
-// with
+// campaign surviving a probe crash, the two overload storms
+// (single-probe brownout + recovery, fleet backpressure), a journal
+// degraded by a full disk, and uniform PMU weather on a fleet.
+// Regenerate with
 //
 //	go test ./internal/scenario -run TestGoldenReports -update
 //
@@ -28,6 +29,7 @@ var goldenScenarios = []string{
 	"overload-brownout-recovery",
 	"fleet-overload-storm",
 	"disk-journal-degraded",
+	"fleet-perf-weather",
 }
 
 func TestGoldenReports(t *testing.T) {

@@ -1,13 +1,15 @@
 // Package scenario is the declarative chaos engine: one DSL over the
-// five fault injectors. A scenario file (YAML subset or JSON) names a
+// six fault injectors. A scenario file (YAML subset or JSON) names a
 // measurement stage — a remote fetch, a supervised counter campaign, a
 // sampled histogram collection, or a fleet campaign — plus a timeline
 // of events: timed faults ("at 2s: throttle storm", "at 5s: kill the
 // coordinator mid-scatter") and timed assertions ("at 8s: assert
-// histogram coverage ≥ 0.8"). The engine compiles the events onto the
-// existing faultnet/faultrun/faultdata/faultperf/faultfleet Script
-// APIs via per-injector adapters and drives a real campaign over
-// internal/fleet and internal/campaign. Retry and backoff sleeps in
+// histogram coverage ≥ 0.8"). Each action is one registry row naming
+// its modes and fields: a fault row arms the existing faultnet,
+// faultrun, faultdata, faultperf, faultfleet or faultdisk script it
+// drives, an assertion row checks the stage outcome. The engine then
+// drives a real campaign over internal/fleet and internal/campaign
+// with the scripts the rows armed. Retry and backoff sleeps in
 // the fetch and campaign stages advance a clockx fake clock instead of
 // the wall clock; the fleet control plane runs on the tight real-time
 // supervision windows its chaos suite established.
@@ -457,10 +459,15 @@ func (sc *Scenario) Validate() error {
 		if !act.allowsMode(sc.Mode) {
 			return &UnknownActionError{Action: ev.Action, Mode: sc.Mode}
 		}
-		if err := act.validate(sc, ev, i); err != nil {
+		if err := act.checkFields(ev, i); err != nil {
 			return err
 		}
-		if !strings.HasPrefix(ev.Action, "assert.") {
+		if act.validate != nil {
+			if err := act.validate(sc, ev, i); err != nil {
+				return err
+			}
+		}
+		if act.arm != nil {
 			key := fmt.Sprintf("%s|%s|%s|%d", ev.Action, ev.Target, ev.Cell, ev.Conn)
 			if seen[key] {
 				target := ev.Target
