@@ -118,6 +118,24 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg, sim: sim, chunkSize: cfg.Chunk}, nil
 }
 
+// Reseed returns an idle engine, one whose last Run returned nil, to
+// the state NewEngine builds for its configuration with the given seed:
+// the run ordinal (and with it the noise sub-seeds) and the op count
+// restart, the op budget, post-chunk hook, load observer, process,
+// barrier address and region tables are cleared, and the simulator is
+// reset but keeps its allocations. Its runs then match a fresh
+// engine's. After a failed Run, body goroutines may still be draining
+// into the engine (see abandon), so such an engine is not idle.
+func (e *Engine) Reseed(seed int64) {
+	e.cfg.Seed = seed
+	e.runs, e.opBudget, e.opCount = 0, 0, 0
+	e.hook = nil
+	e.sim.SetLoadObserver(nil)
+	e.sim.Reset()
+	e.proc, e.barrierAddr = nil, 0
+	e.regions, e.regionStates, e.regionAggs = nil, nil, nil
+}
+
 // Sim exposes the underlying simulator (the perf layer reads counters
 // and cycle clocks through it).
 func (e *Engine) Sim() *memsim.Sim { return e.sim }

@@ -3,6 +3,7 @@ package memhist
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"numaperf/internal/exec"
 	"numaperf/internal/perf"
@@ -125,11 +126,22 @@ func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogra
 	if threads <= 0 {
 		threads = 1
 	}
-	e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: threads, Seed: req.Seed})
+	key := engineKey{machName, threads}
+	e, err := takeEngine(key, mach, req.Seed)
 	if err != nil {
 		return nil, err
 	}
-	var h *Histogram
+	h, err := measureOn(e, w, req, sampler)
+	if err != nil {
+		return nil, err
+	}
+	pool, _ := enginePools.LoadOrStore(key, new(sync.Pool))
+	pool.(*sync.Pool).Put(e)
+	return h, nil
+}
+
+// measureOn measures w as req asks on e, a fresh or re-seeded engine.
+func measureOn(e *exec.Engine, w workloads.Workload, req ProbeRequest, sampler perf.SamplerOptions) (h *Histogram, err error) {
 	if req.Exact {
 		h, err = Exact(e, w.Body(), req.Bounds, 1)
 	} else {
@@ -147,4 +159,36 @@ func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogra
 	h.Source = w.Name()
 	h.Origin = OriginLocal
 	return h, nil
+}
+
+// A probe serves streams of small cells, and a fresh engine's first
+// load allocates and zeroes a whole L3, many times what a small cell
+// touches. So HandleRequestWith keeps its idle engines, one sync.Pool
+// per engineKey, and re-seeds one per request: a re-seeded engine
+// measures exactly as a fresh one does. An engine goes back only after
+// a measurement returned nil, so a failed or panicking run never leaves
+// a busy engine behind. sync.Pool drops idle engines over two garbage
+// collections, so an idle probe holds none for long. Campaign cells,
+// evsel sweeps and training runs keep fresh engines (DESIGN.md says
+// why).
+var enginePools sync.Map // engineKey → *sync.Pool
+
+// engineKey holds the only engine settings a ProbeRequest varies.
+type engineKey struct {
+	machine string
+	threads int
+}
+
+// takeEngine returns an idle engine for key re-seeded to seed, or a new
+// one. It creates no pool (HandleRequestWith does, on the way back), so
+// a request that fails to build an engine (more threads than the
+// machine has cores) leaves no entry behind.
+func takeEngine(key engineKey, mach *topology.Machine, seed int64) (*exec.Engine, error) {
+	if p, ok := enginePools.Load(key); ok {
+		if e, ok := p.(*sync.Pool).Get().(*exec.Engine); ok {
+			e.Reseed(seed)
+			return e, nil
+		}
+	}
+	return exec.NewEngine(exec.Config{Machine: mach, Threads: key.threads, Seed: seed})
 }

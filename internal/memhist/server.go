@@ -509,9 +509,18 @@ func (s *ProbeServer) sendError(conn net.Conn, id uint64, code probenet.ErrorCod
 // sendErrorRetry sends an ERROR frame carrying a retry-after hint —
 // the request-scoped backpressure answer of the admission queue.
 func (s *ProbeServer) sendErrorRetry(conn net.Conn, id uint64, code probenet.ErrorCode, msg string, retryAfterMillis int64) error {
-	err := s.writeFrame(conn, probenet.FrameError, &probenet.ErrorMsg{ID: id, Code: code, Message: msg, RetryAfterMillis: retryAfterMillis})
-	if err == nil {
-		s.stats.errorsSent.Add(1)
+	return s.writeCounted(conn, probenet.FrameError, &probenet.ErrorMsg{ID: id, Code: code, Message: msg, RetryAfterMillis: retryAfterMillis}, &s.stats.errorsSent)
+}
+
+// writeCounted writes a frame that n counts. The count goes up before
+// the write, since a client may PING as soon as it has read the frame
+// and must see it counted; a failed write takes the count back
+// (writeFrame has counted the failure).
+func (s *ProbeServer) writeCounted(conn net.Conn, t probenet.FrameType, v any, n *atomic.Uint64) error {
+	n.Add(1)
+	err := s.writeFrame(conn, t, v)
+	if err != nil {
+		n.Add(^uint64(0))
 	}
 	return err
 }
@@ -641,10 +650,8 @@ func (s *ProbeServer) handleRequest(pc *probeConn, payload []byte) bool {
 			if !deadline.IsZero() {
 				_ = conn.SetWriteDeadline(deadline)
 			}
-			if s.writeFrame(conn, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body}) != nil {
+			if s.writeCounted(conn, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body}, &s.stats.served) != nil {
 				ok = false
-			} else {
-				s.stats.served.Add(1)
 			}
 		}
 	}

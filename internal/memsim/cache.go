@@ -53,6 +53,17 @@ type cache struct {
 	// comparison.
 	last     int
 	lastLine uint64
+	// filled logs the first slot of every set filled while that set was
+	// empty, so reset clears only those sets. A set gains its first line
+	// in way 0 (a miss fills the first empty way), so the log names
+	// every set that can hold a line; a refill of an invalidated way 0
+	// logs its set again. The log holds a quarter of the sets and is
+	// allocated at the first reset, so a cache used for one run
+	// allocates nothing for it. overflow marks a log that ran out of
+	// room, as one not allocated yet has none: fills stop logging, and
+	// reset clears every set.
+	filled   []int32
+	overflow bool
 }
 
 // noLine is a lastLine no line address can equal.
@@ -85,11 +96,23 @@ func newTLB(entries, ways int) *cache {
 
 // reset empties the cache. A cache not built yet (nil) or stamped
 // nothing since the last reset holds no valid line and is left alone.
+// Otherwise it clears the sets its log names, or every set once the
+// log has overflowed, as it has in a cache never reset before.
 func (c *cache) reset() {
 	if c == nil || c.clock == 0 {
 		return
 	}
-	clear(c.tags)
+	if c.overflow {
+		clear(c.tags)
+	} else {
+		for _, base := range c.filled {
+			clear(c.tags[base : int(base)+c.ways])
+		}
+	}
+	if c.filled == nil {
+		c.filled = make([]int32, 0, len(c.tags)/c.ways/4)
+	}
+	c.filled, c.overflow = c.filled[:0], false
 	c.clock = 0
 	c.lastLine = noLine
 }
@@ -151,6 +174,13 @@ func (c *cache) scan(line uint64, stamp bool) (int, bool) {
 // starts the line with no owner.
 func (c *cache) fill(slot int, line, bits uint64) (evicted bool) {
 	evicted = c.tags[slot]&lineValid != 0
+	if !evicted && !c.overflow && slot == int(line&c.setMask)*c.ways {
+		if len(c.filled) < cap(c.filled) {
+			c.filled = append(c.filled, int32(slot))
+		} else {
+			c.overflow = true
+		}
+	}
 	c.tags[slot] = line<<2 | bits | lineValid
 	c.roll()
 	c.stamp(slot, line)

@@ -24,6 +24,49 @@ func TestCacheClockWrap(t *testing.T) {
 	}
 }
 
+// TestResetClearsFilledSets fills k sets of a 64-set cache, whose log
+// holds 16 sets, with k below and above that, and requires every tag
+// word to be zero after each reset. Way 0 of every third filled set is
+// invalidated and refilled in between, so the log holds duplicates and
+// can overflow before k reaches 16. The first reset of every cache must
+// take the full clear.
+func TestResetClearsFilledSets(t *testing.T) {
+	const sets, ways = 64, 4
+	logCap := sets / 4
+	for _, k := range []int{0, 1, 5, 12, 13, 16, 17, 40, 64} {
+		c := newCache(sets, ways, false)
+		for run := 0; run < 3; run++ {
+			logged := 0
+			for s := 0; s < k; s++ {
+				// ways+2 lines: the last two evict, which logs nothing.
+				for j := 0; j < ways+2; j++ {
+					insert(c, uint64(s+j*sets))
+				}
+				logged++
+			}
+			for s := 0; s < k; s += 3 {
+				c.invalidate(uint64(s + 4*sets)) // the line in way 0
+				insert(c, uint64(s))
+				logged++
+			}
+			wantFull := k > 0 && (run == 0 || logged > logCap)
+			if c.overflow != wantFull {
+				t.Errorf("k=%d run %d: full clear=%v, want %v (%d fills logged, room for %d; first reset: %v)",
+					k, run, c.overflow, wantFull, logged, logCap, run == 0)
+			}
+			if got := c.occupancy(); got != k*ways {
+				t.Fatalf("k=%d run %d: %d lines before reset, want %d", k, run, got, k*ways)
+			}
+			c.reset()
+			for i, tag := range c.tags {
+				if tag != 0 {
+					t.Fatalf("k=%d run %d: tag word %d (set %d) is %#x after reset", k, run, i, i/ways, tag)
+				}
+			}
+		}
+	}
+}
+
 // fuzzSets are the set counts FuzzCacheEquivalence draws from: one set,
 // powers of two, and counts whose mask leaves sets unreachable, among
 // them the Haswell-EX L3's 40960.
@@ -45,6 +88,16 @@ func FuzzCacheEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(1), false, []byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 6, 0, 0, 2, 0, 4})
 	f.Add(uint8(0x89), uint8(17), true, []byte{0, 1, 1, 2, 1, 2, 3, 1, 1, 5, 1, 7, 4, 1, 2, 15, 0, 0, 0, 1, 3})
 	f.Add(uint8(0x04), uint8(3), true, []byte{0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 6, 0, 0, 0, 0, 0, 0, 0, 4})
+	// 16 sets, whose log holds 4: a first reset (full clear), a reset of
+	// three logged sets, one of a duplicate-holding log, and one of an
+	// overflowed log, with fills that miss and evict in between.
+	f.Add(uint8(0x06), uint8(1), false, []byte{
+		0, 0, 1, 0, 1, 1, 7, 0, 0,
+		0, 0, 1, 0, 1, 1, 0, 2, 1, 1, 0, 2, 7, 4, 0,
+		0, 3, 1, 4, 3, 1, 0, 3, 2, 0, 3, 3, 7, 0, 0,
+		0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 7, 0, 0,
+		0, 7, 1, 0, 7, 2, 0, 7, 3,
+	})
 	f.Fuzz(func(t *testing.T, geometry, ways uint8, nearWrap bool, ops []byte) {
 		sets, nWays := fuzzSets[int(geometry&0x7f)%len(fuzzSets)], 1+int(ways)%18
 		owners := geometry&0x80 != 0

@@ -313,28 +313,40 @@ func TestStoresCountAndDirty(t *testing.T) {
 
 func TestResetClearsEverything(t *testing.T) {
 	s := newSim(t)
-	for i := uint64(0); i < 4096; i++ {
-		s.Load(0, i*64, 0, false)
-	}
-	s.Branch(0, 3, true)
-	s.Finalize()
-	if s.TotalCounts().Get(counters.AllLoads) == 0 {
-		t.Fatal("precondition: counts populated")
-	}
-	s.Reset()
-	total := s.TotalCounts()
-	for id, v := range total {
-		if v != 0 {
-			t.Errorf("event %s = %d after Reset", counters.Def(counters.EventID(id)).Name, v)
+	// Each cache's first reset clears all of it. Later resets clear the
+	// sets its log names: all of them again once a log overflows (the
+	// 4096-line rounds do in the L1, L2 and TLBs), only the filled ones
+	// otherwise (the L3 throughout, every cache in the 8-line round).
+	for round, lines := range []uint64{4096, 4096, 8} {
+		for i := uint64(0); i < lines; i++ {
+			s.Load(0, i*64, 0, false)
 		}
-	}
-	if s.Cycles(0) != 0 || s.MaxCycles() != 0 {
-		t.Error("cycles must reset")
-	}
-	// After reset, previously cached lines must be gone (cold again).
-	lat := s.Load(0, 0, 0, true)
-	if lat < s.Machine().MemLatency {
-		t.Errorf("post-reset load latency %d, want cold DRAM access", lat)
+		s.Branch(0, 3, true)
+		s.Finalize()
+		if s.TotalCounts().Get(counters.AllLoads) == 0 {
+			t.Fatal("precondition: counts populated")
+		}
+		s.Reset()
+		total := s.TotalCounts()
+		for id, v := range total {
+			if v != 0 {
+				t.Errorf("round %d: event %s = %d after Reset", round, counters.Def(counters.EventID(id)).Name, v)
+			}
+		}
+		if s.Cycles(0) != 0 || s.MaxCycles() != 0 {
+			t.Errorf("round %d: cycles must reset", round)
+		}
+		cs := s.cores[0]
+		for name, c := range map[string]*cache{"L1": cs.l1, "L2": cs.l2, "DTLB": cs.dtlb, "STLB": cs.stlb, "L3": s.l3[0]} {
+			if n := c.occupancy(); n != 0 {
+				t.Errorf("round %d: %s holds %d lines after Reset", round, name, n)
+			}
+		}
+		// After reset, previously cached lines must be gone (cold again).
+		lat := s.Load(0, 0, 0, true)
+		if lat < s.Machine().MemLatency {
+			t.Errorf("round %d: post-reset load latency %d, want cold DRAM access", round, lat)
+		}
 	}
 }
 

@@ -522,7 +522,11 @@ var registry = map[string]*actionDef{
 		params:   "target (probe)",
 		fields:   []string{"target"},
 		validate: needFleetTarget,
-		arm:      func(r *rig, ev Event) { r.plans[ev.Target].script.CrashAlways() },
+		arm: func(r *rig, ev Event) {
+			p := r.plans[ev.Target]
+			p.script.CrashAlways()
+			p.flaps = true
+		},
 	},
 	"fleet.overload_answers": {
 		name: "fleet.overload_answers", modes: []string{ModeFleet},

@@ -10,6 +10,9 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"numaperf/internal/faultfleet"
@@ -35,6 +38,7 @@ type probePlan struct {
 	chaos    []string
 	script   faultfleet.Script
 	weather  weather
+	flaps    bool // crashes on every request until quarantined
 }
 
 // resolveFleet turns the probe roster, generator templates and chaos
@@ -96,6 +100,7 @@ func applyTemplate(p *probePlan, t Template) {
 	switch {
 	case t.Flap:
 		p.script.CrashAlways()
+		p.flaps = true
 	case t.CrashOnRequest > 0 && t.StayDown:
 		p.script.CrashOnRequestStayDown(t.CrashOnRequest)
 	case t.CrashOnRequest > 0:
@@ -104,9 +109,60 @@ func applyTemplate(p *probePlan, t Template) {
 	if t.SilenceFrom > 0 {
 		p.script.SilenceHeartbeatsFrom(t.SilenceFrom)
 	}
-	if t.DelayRequests > 0 {
-		p.script.DelayEveryRequest(t.DelayRequests.D())
+}
+
+// flapGate orders a fleet's flapping probes before its answers. A
+// flapper crashes on every request until strike accounting quarantines
+// it. If the other probes answered freely they could finish the
+// campaign before its last strike, and the verdict would hang on
+// goroutine timing. So the other probes hold their requests on the
+// returned gate until every flapper has been seen quarantined on the
+// current coordinator; release opens it early. The gate is nil, and
+// nothing holds, without a flapper, without another probe, or with no
+// more cells than other probes: each holds one cell, and a flapper
+// needs a cell to crash on.
+func flapGate(cur *atomic.Pointer[fleet.Coordinator], plans []*probePlan, cells int) (gate <-chan struct{}, release func()) {
+	var flappers []string
+	for _, p := range plans {
+		if p.flaps {
+			flappers = append(flappers, p.id)
+		}
 	}
+	others := len(plans) - len(flappers)
+	if len(flappers) == 0 || others == 0 || cells <= others {
+		return nil, func() {}
+	}
+	open := make(chan struct{})
+	release = sync.OnceFunc(func() { close(open) })
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for len(flappers) > 0 {
+			select {
+			case <-open:
+				return
+			case <-tick.C:
+			}
+			flappers = slices.DeleteFunc(flappers, func(id string) bool {
+				st, _ := cur.Load().Tracker().State(id)
+				return st == fleet.Quarantined
+			})
+		}
+		release()
+	}()
+	return open, release
+}
+
+// heldScript is a probe's fault script behind a gate: each request
+// waits for the gate to open before the script picks its fault.
+type heldScript struct {
+	*faultfleet.Script
+	gate <-chan struct{}
+}
+
+func (h heldScript) OnRequest(n int) fleet.Fault {
+	<-h.gate
+	return h.Script.OnRequest(n)
 }
 
 func fleetOptions(fs *FleetSpec, opts RunOptions) fleet.Options {
@@ -159,7 +215,7 @@ func (h *agentHarness) stop() {
 	}
 }
 
-func startAgents(addr string, fs *FleetSpec, plans []*probePlan, uniform weather, opts RunOptions) *agentHarness {
+func startAgents(addr string, fs *FleetSpec, plans []*probePlan, uniform weather, gate <-chan struct{}, opts RunOptions) *agentHarness {
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &agentHarness{cancel: cancel}
 	hb := 10 * time.Millisecond
@@ -171,11 +227,15 @@ func startAgents(addr string, fs *FleetSpec, plans []*probePlan, uniform weather
 		if len(w) == 0 {
 			w = uniform
 		}
+		var d fleet.Disruptor = &p.script
+		if gate != nil && !p.flaps {
+			d = heldScript{&p.script, gate}
+		}
 		a := &fleet.ProbeAgent{
 			ID:                p.id,
 			Coordinator:       addr,
 			HeartbeatInterval: hb,
-			Disruptor:         &p.script,
+			Disruptor:         d,
 			BackoffBase:       5 * time.Millisecond,
 			BackoffMax:        15 * time.Millisecond,
 			BackoffSeed:       int64(len(p.id)),
@@ -274,8 +334,12 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 	coord := c1
 	defer func() { shutdownCoordinator(coord) }()
 
-	agents := startAgents(addr, fs, plans, r.weather, opts)
+	var cur atomic.Pointer[fleet.Coordinator]
+	cur.Store(c1)
+	gate, release := flapGate(&cur, plans, spec.Cells)
+	agents := startAgents(addr, fs, plans, r.weather, gate, opts)
 	defer agents.stop()
+	defer release() // held requests return before the agents stop
 
 	// Probes whose first dials are scripted to fail register late; wait
 	// only for the ones that can reach the coordinator immediately.
@@ -311,6 +375,7 @@ func runFleetStage(sc *Scenario, seed int64, faults []Event, opts RunOptions) (*
 		c2 := fleet.NewCoordinator(fopts2)
 		go c2.Serve(ln2)
 		coord = c2
+		cur.Store(c2)
 		if err := c2.WaitForProbes(ctx, 1); err != nil {
 			return nil, nil, fmt.Errorf("scenario: fleet re-registration after kill: %w", err)
 		}

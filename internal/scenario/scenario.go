@@ -240,14 +240,15 @@ type CollectSpec struct {
 
 // Template is one weighted fleet-generator template. Besides its
 // weight it may bake fault behaviour into every probe stamped from it.
+// A Flap probe crashes on every request until it is quarantined, and
+// the rest of the fleet holds its requests until then (flapGate).
 type Template struct {
-	Name           string   `json:"name"`
-	Weight         int      `json:"weight"`
-	CrashOnRequest int      `json:"crash_on_request,omitempty"`
-	StayDown       bool     `json:"stay_down,omitempty"`
-	Flap           bool     `json:"flap,omitempty"`
-	SilenceFrom    uint64   `json:"silence_from,omitempty"`
-	DelayRequests  Duration `json:"delay_requests,omitempty"`
+	Name           string `json:"name"`
+	Weight         int    `json:"weight"`
+	CrashOnRequest int    `json:"crash_on_request,omitempty"`
+	StayDown       bool   `json:"stay_down,omitempty"`
+	Flap           bool   `json:"flap,omitempty"`
+	SilenceFrom    uint64 `json:"silence_from,omitempty"`
 }
 
 // GenSpec is the seeded fleet generator: Count probes stamped from the
