@@ -18,22 +18,24 @@
 // diagnostics (constant series and the like) are reported in the DIAG
 // column but do not affect the exit status.
 //
-// With -journal the measurement runs as a supervised campaign: every
-// completed run cell is appended to a CRC-checked journal, each run is
-// bounded by -run-timeout and retried up to -max-retries times, and a
-// killed campaign continues with -resume exactly where it stopped.
-// -keep-going records typed gaps instead of aborting on a bad cell, and
-// counters that repeatedly fail or return impossible values are
-// quarantined and reported. -parallel N measures up to N run cells
-// concurrently; because results are committed in canonical cell order,
-// the journal, tables and resume behaviour are byte-identical to a
-// serial run — only the wall-clock time changes. -journal-segments N
-// rotates the journal into checkpointed segments past N bytes, keeping
-// a long campaign's journal bounded (-resume and -journal-segments need
-// -journal: without it they exit 2 before anything is measured); with
-// -strict a journal disk fault
-// (ENOSPC, fsync failure) aborts the campaign, without it the run
+// Every measurement, comparison and sweep runs as a supervised
+// campaign: each run cell is bounded by -run-timeout and retried up to
+// -max-retries times, -keep-going records typed gaps instead of aborting
+// on a bad cell, and counters that repeatedly fail or return impossible
+// values are quarantined and reported. With -journal every completed
+// cell is appended to a CRC-checked journal, and a killed campaign
+// continues with -resume exactly where it stopped. -parallel N measures
+// up to N run cells concurrently; because results are committed in
+// canonical cell order, the journal, tables and resume behaviour are
+// byte-identical to a serial run, with or without a journal — only the
+// wall-clock time changes. -journal-segments N rotates the journal into
+// checkpointed segments past N bytes, keeping a long campaign's journal
+// bounded (-resume and -journal-segments need -journal: without it they
+// exit 2 before anything is measured); with -strict a journal disk
+// fault (ENOSPC, fsync failure) aborts the campaign, without it the run
 // finishes in memory and the report is marked JOURNAL DEGRADED.
+// -metrics and -regions print a single engine run, so the campaign
+// flags -journal, -resume and -parallel exit 2 there.
 //
 //	evsel -workload parallelsort -sweep 1,2,4 -journal sweep.jnl
 //	evsel -workload parallelsort -sweep 1,2,4 -journal sweep.jnl -resume
@@ -93,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		strict = fs.Bool("strict", false, "exit nonzero when results rest on degraded data (non-finite samples dropped, unusable series, degenerate tests)")
 
-		journal     = fs.String("journal", "", "run as a supervised campaign, journaling completed cells to this file")
+		journal     = fs.String("journal", "", "journal completed campaign cells to this file, so -resume can continue a killed run")
 		journalSegs = fs.Int("journal-segments", 0, "rotate the journal into checkpointed segments past this many bytes (0 = single file)")
 		resume      = fs.Bool("resume", false, "resume a killed campaign from its journal (skips completed cells)")
 		runTimeout  = fs.Duration("run-timeout", campaign.DefaultRunTimeout, "wall-clock bound per run attempt")
@@ -108,8 +110,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	// Journal flags that would be silently ignored are usage errors,
-	// caught before anything is measured.
+	// -metrics and -regions print one engine run, unless a sweep or a
+	// comparison takes precedence. Campaign flags that would be silently
+	// ignored are usage errors, caught before anything is measured.
+	engineRun := (*derived || *regions) && *sweepArg == "" && *compare == ""
 	switch {
 	case *resume && *journal == "":
 		fmt.Fprintln(stderr, "evsel: -resume requires -journal (nothing to resume from)")
@@ -119,6 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	case *journalSegs > 0 && *journal == "":
 		fmt.Fprintln(stderr, "evsel: -journal-segments requires -journal (nothing to rotate)")
+		return 2
+	case engineRun && (*journal != "" || *parallel > 1):
+		fmt.Fprintln(stderr, "evsel: -metrics and -regions print one engine run, not a campaign: -journal, -resume and -parallel do not apply")
 		return 2
 	}
 	fail := func(err error) int {
@@ -195,15 +202,65 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	mkEngine := func(threadCount int) (*exec.Engine, error) {
-		return exec.NewEngine(exec.Config{Machine: mach, Threads: threadCount, Seed: *seed})
+
+	if engineRun {
+		e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: *threads, Seed: *seed})
+		if err != nil {
+			return fail(err)
+		}
+		res, err := e.Run(wl.Body())
+		if err != nil {
+			return fail(err)
+		}
+		if *derived {
+			fmt.Fprintf(stdout, "%s\n", wl.Name())
+			fmt.Fprint(stdout, metrics.Render(metrics.Compute(res.Total, mach, res.Seconds)))
+			return 0
+		}
+		out, err := profile.Render(res, 8)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "%s\n%s", wl.Name(), out)
+		return 0
 	}
 
-	// Campaign supervision: -journal or -parallel switches measurement
-	// and sweep runs to the crash-tolerant campaign runner (the only
-	// executor with a worker pool; -parallel therefore implies
-	// campaign-mode measurement even without a journal).
-	campaigning := *journal != "" || *parallel > 1
+	// Every measurement, comparison and sweep is a campaign: one point per
+	// sweep value or compared workload, each cell on a fresh engine seeded
+	// by its ordinal. So -parallel, -journal and -resume change how the
+	// cells run, never what they measure.
+	point := func(param float64, threadCount int, w workloads.Workload) campaign.Point {
+		return campaign.Point{Param: param, Mk: func(seed int64) (*exec.Engine, func(*exec.Thread), error) {
+			e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: threadCount, Seed: seed})
+			if err != nil {
+				return nil, nil, err
+			}
+			return e, w.Body(), nil
+		}}
+	}
+	spec := campaign.Spec{ParamName: "threads", Events: ids, Reps: *reps, Mode: mode, Seed: *seed}
+	var wlB workloads.Workload
+	switch {
+	case *sweepArg != "":
+		for _, s := range strings.Split(*sweepArg, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil {
+				return fail(fmt.Errorf("bad sweep value %q: %v", s, err))
+			}
+			spec.Points = append(spec.Points, point(float64(v), v, wl))
+		}
+		if len(spec.Points) < 3 {
+			return fail(fmt.Errorf("a sweep needs at least 3 values (got %d)", len(spec.Points)))
+		}
+	case *compare != "":
+		if wlB, ok = workloads.ByName(*compare); !ok {
+			return fail(fmt.Errorf("unknown workload %q", *compare))
+		}
+		spec.ParamName = "workload"
+		spec.Points = []campaign.Point{point(0, *threads, wl), point(1, *threads, wlB)}
+	default:
+		spec.Points = []campaign.Point{point(float64(*threads), *threads, wl)}
+	}
 	opts := campaign.Options{
 		RunTimeout:          *runTimeout,
 		MaxRetries:          *maxRetries,
@@ -225,120 +282,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *maxRetries == 0 {
 		opts.MaxRetries = -1
 	}
-	campaignPoint := func(threadCount int, param float64) campaign.Point {
-		return campaign.Point{Param: param, Mk: func(seed int64) (*exec.Engine, func(*exec.Thread), error) {
-			e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: threadCount, Seed: seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, wl.Body(), nil
-		}}
+	rep, err := (&campaign.Runner{Spec: spec, Opts: opts}).Run()
+	if err != nil {
+		return fail(err)
 	}
 
 	switch {
 	case *sweepArg != "":
-		var params []float64
-		for _, s := range strings.Split(*sweepArg, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return fail(fmt.Errorf("bad sweep value %q: %v", s, err))
-			}
-			params = append(params, float64(v))
-		}
-		if campaigning {
-			spec := campaign.Spec{ParamName: "threads", Events: ids, Reps: *reps, Mode: mode, Seed: *seed}
-			for _, p := range params {
-				spec.Points = append(spec.Points, campaignPoint(int(p), p))
-			}
-			rep, err := (&campaign.Runner{Spec: spec, Opts: opts}).Run()
-			if err != nil {
-				return fail(err)
-			}
-			sweep := &evsel.Sweep{ParamName: "threads"}
-			for _, pr := range rep.Points {
-				sweep.Points = append(sweep.Points, evsel.SweepPoint{Param: pr.Param, M: pr.M})
-			}
-			fmt.Fprint(stdout, sweep.Render(*minR))
-			fmt.Fprint(stdout, rep.Summary())
-			return strictExit(sweep.HardDegraded(), "sweep")
-		}
-		sweep, err := evsel.RunSweep("threads", params,
-			func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-				e, err := mkEngine(int(p))
-				return e, wl.Body(), err
-			}, ids, *reps, mode)
-		if err != nil {
-			return fail(err)
+		sweep := &evsel.Sweep{ParamName: spec.ParamName}
+		for _, pr := range rep.Points {
+			sweep.Points = append(sweep.Points, evsel.SweepPoint{Param: pr.Param, M: pr.M})
 		}
 		fmt.Fprint(stdout, sweep.Render(*minR))
+		fmt.Fprint(stdout, rep.Summary())
 		return strictExit(sweep.HardDegraded(), "sweep")
-
 	case *compare != "":
-		wlB, ok := workloads.ByName(*compare)
-		if !ok {
-			return fail(fmt.Errorf("unknown workload %q", *compare))
-		}
-		ea, err := mkEngine(*threads)
-		if err != nil {
-			return fail(err)
-		}
-		eb, err := mkEngine(*threads)
-		if err != nil {
-			return fail(err)
-		}
-		cmp, err := evsel.CompareWorkloads(ea, wl.Body(), eb, wlB.Body(), ids, *reps, mode)
+		cmp, err := evsel.Compare(rep.Points[0].M, rep.Points[1].M)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "comparing %s (A) with %s (B)\n\n", wl.Name(), wlB.Name())
 		fmt.Fprint(stdout, cmp.SortByImpact().Where(evsel.NonZero()).Render())
+		fmt.Fprint(stdout, rep.Summary())
 		return strictExit(cmp.HardDegraded(), "comparison")
 	}
-
-	if *derived || *regions {
-		e, err := mkEngine(*threads)
-		if err != nil {
-			return fail(err)
-		}
-		res, err := e.Run(wl.Body())
-		if err != nil {
-			return fail(err)
-		}
-		if *derived {
-			fmt.Fprintf(stdout, "%s\n", wl.Name())
-			fmt.Fprint(stdout, metrics.Render(metrics.Compute(res.Total, mach, res.Seconds)))
-			return 0
-		}
-		out, err := profile.Render(res, 8)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "%s\n%s", wl.Name(), out)
-		return 0
-	}
-	var m *perf.Measurement
-	var summary string
-	if campaigning {
-		spec := campaign.Spec{
-			ParamName: "threads",
-			Points:    []campaign.Point{campaignPoint(*threads, float64(*threads))},
-			Events:    ids, Reps: *reps, Mode: mode, Seed: *seed,
-		}
-		rep, err := (&campaign.Runner{Spec: spec, Opts: opts}).Run()
-		if err != nil {
-			return fail(err)
-		}
-		m = rep.Points[0].M
-		summary = rep.Summary()
-	} else {
-		e, err := mkEngine(*threads)
-		if err != nil {
-			return fail(err)
-		}
-		if m, err = perf.Measure(e, wl.Body(), ids, *reps, mode); err != nil {
-			return fail(err)
-		}
-	}
+	m := rep.Points[0].M
 	if *saveTo != "" {
 		if err := evsel.SaveMeasurementFile(*saveTo, m); err != nil {
 			return fail(err)
@@ -360,7 +328,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%-45s %15.5g %11.2f%%%s\n", counters.Def(id).Name, mean, 100*cv, cover)
 	}
-	fmt.Fprint(stdout, summary)
+	fmt.Fprint(stdout, rep.Summary())
 	return strictExit(nonFiniteSamples(m), "measurement")
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,21 +13,27 @@ import (
 )
 
 // cliTinyWorkload keeps the end-to-end cases fast: a few hundred loads
-// over a 16 KiB buffer instead of a paper-scale working set.
-type cliTinyWorkload struct{}
+// over a 16 KiB buffer instead of a paper-scale working set. The -b
+// variant strides twice as far, so a comparison has something to find.
+type cliTinyWorkload struct {
+	name   string
+	stride uint64
+}
 
-func (cliTinyWorkload) Name() string { return "evsel-cli-tiny" }
-func (cliTinyWorkload) Body() func(*exec.Thread) {
+func (w cliTinyWorkload) Name() string { return w.name }
+func (w cliTinyWorkload) Body() func(*exec.Thread) {
 	return func(t *exec.Thread) {
 		buf := t.Alloc(1 << 14)
 		for i := uint64(0); i < 256; i++ {
-			t.Load(buf.Addr(i * 64 % (1 << 14)))
+			t.Load(buf.Addr(i * w.stride % (1 << 14)))
 		}
 	}
 }
 
 func TestMain(m *testing.M) {
-	workloads.Register("evsel-cli-tiny", func() workloads.Workload { return cliTinyWorkload{} })
+	for _, w := range []cliTinyWorkload{{"evsel-cli-tiny", 64}, {"evsel-cli-tiny-b", 128}} {
+		workloads.Register(w.name, func() workloads.Workload { return w })
+	}
 	m.Run()
 }
 
@@ -36,10 +45,11 @@ func runCLI(args ...string) (int, string, string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestRunExitCodes table-tests every exit path. The journal-flag cases
+// TestRunExitCodes table-tests every exit path. The usage-error cases
 // name an unknown workload: reaching the workload lookup at all would
 // turn their exit 2 into 1, so they prove the checks run before
-// anything is measured.
+// anything is measured. A short sweep must fail before its journal is
+// created.
 func TestRunExitCodes(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.json")
 	journal := filepath.Join(t.TempDir(), "j")
@@ -55,6 +65,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"resume without journal", []string{"-workload", "nope", "-resume"}, 2, "-resume requires -journal"},
 		{"negative segments", []string{"-workload", "nope", "-journal", journal, "-journal-segments", "-1"}, 2, "must not be negative"},
 		{"segments without journal", []string{"-workload", "nope", "-journal-segments", "400"}, 2, "-journal-segments requires -journal"},
+		{"metrics with journal", []string{"-workload", "nope", "-metrics", "-journal", journal}, 2, "not a campaign"},
+		{"metrics with resume", []string{"-workload", "nope", "-metrics", "-journal", journal, "-resume"}, 2, "not a campaign"},
+		{"regions with parallel", []string{"-workload", "nope", "-regions", "-parallel", "2"}, 2, "not a campaign"},
 		{"list", []string{"-list"}, 0, ""},
 		{"workloads", []string{"-workloads"}, 0, ""},
 		{"missing load file", []string{"-load-a", missing, "-load-b", missing}, 1, "evsel:"},
@@ -63,6 +76,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown mode", []string{"-workload", "evsel-cli-tiny", "-mode", "sideways"}, 1, "unknown mode"},
 		{"unknown event", []string{"-workload", "evsel-cli-tiny", "-events", "NOPE"}, 1, "unknown event"},
 		{"bad sweep value", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-sweep", "1,x"}, 1, "bad sweep value"},
+		{"two-point sweep", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-sweep", "1,2"}, 1, "a sweep needs at least 3 values"},
+		{"two-point journaled sweep", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-sweep", "1,2", "-journal", journal}, 1, "a sweep needs at least 3 values"},
 		{"unknown compare workload", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-compare", "nope"}, 1, "unknown workload"},
 		{"measure", []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-reps", "2"}, 0, ""},
 	}
@@ -72,17 +87,20 @@ func TestRunExitCodes(t *testing.T) {
 			if code != tc.want {
 				t.Fatalf("run(%v) = %d, want %d (stderr: %s)", tc.args, code, tc.want, stderr)
 			}
-			if !strings.Contains(stderr, tc.stderr) {
-				t.Errorf("stderr %q does not mention %q", stderr, tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) || strings.Contains(stderr, "evsel: evsel:") {
+				t.Errorf("stderr %q does not mention %q once prefixed", stderr, tc.stderr)
 			}
 		})
+	}
+	if _, err := os.Stat(journal); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused run left a journal behind: %v", err)
 	}
 }
 
 // A journaled sweep refuses to clobber its journal, and -resume replays
 // it to the same correlation table.
 func TestRunJournaledSweepResume(t *testing.T) {
-	args := []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-sweep", "1,2", "-reps", "2",
+	args := []string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-sweep", "1,2,4", "-reps", "2",
 		"-journal", filepath.Join(t.TempDir(), "sweep.jnl"), "-journal-segments", "200"}
 	code, first, stderr := runCLI(args...)
 	if code != 0 {
@@ -97,6 +115,46 @@ func TestRunJournaledSweepResume(t *testing.T) {
 	}
 	if table(first) != table(resumed) {
 		t.Errorf("resumed table differs:\n%s\nvs\n%s", table(first), table(resumed))
+	}
+}
+
+// TestRoutesPrintTheSameTable: a measurement, a comparison and a sweep
+// print the same table (campaign accounting aside) at any -parallel
+// setting, with a journal, and replayed from that journal, because
+// every one of them is measured by the same campaign runner.
+func TestRoutesPrintTheSameTable(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"measure", nil},
+		{"compare", []string{"-compare", "evsel-cli-tiny-b"}},
+		{"sweep", []string{"-sweep", "1,2,4"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			base := append([]string{"-workload", "evsel-cli-tiny", "-events", tinyEvents, "-reps", "2"}, mode.args...)
+			journal := filepath.Join(t.TempDir(), "j")
+			var want string
+			for i, route := range [][]string{
+				{"-parallel", "1"},
+				{"-parallel", "3"},
+				{"-journal", journal},
+				{"-journal", journal, "-resume", "-parallel", "2"},
+			} {
+				args := append(append([]string(nil), base...), route...)
+				code, out, stderr := runCLI(args...)
+				if code != 0 {
+					t.Fatalf("run(%v) exit %d: %s", args, code, stderr)
+				}
+				if i == 0 {
+					want = table(out)
+					continue
+				}
+				if got := table(out); got != want {
+					t.Errorf("%v prints\n%s\nwant (as at -parallel 1)\n%s", route, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -14,6 +14,12 @@
 //	memhist -workload sift -remote host:9844 -retries 3 -breaker-threshold 3
 //	memhist -workload mlc-local -adaptive -strict -min-coverage 0.5
 //
+// The flags build one probe request, which is measured in process by
+// memhist.HandleRequest or sent to the probe, whose server measures it
+// the same way; a local fallback does too. So the local, remote and
+// fallback routes print the same histogram, and only the "source:" line
+// says which one ran.
+//
 // The histogram carries a sampling-fidelity report (coverage, dropped
 // records, throttled cycles); -strict turns fidelity into an exit code:
 // the report is always printed, but coverage below -min-coverage or a
@@ -21,85 +27,110 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"numaperf/internal/exec"
 	"numaperf/internal/memhist"
 	"numaperf/internal/topology"
 	"numaperf/internal/workloads"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process-global parts so tests can drive every
+// exit path: 0 on success, 1 when a measurement fails or a -strict gate
+// does, 2 for a usage error caught before anything is measured.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("memhist", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "", "workload to profile")
-		machine  = flag.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
-		threads  = flag.Int("threads", 1, "thread count")
-		modeArg  = flag.String("mode", "occurrences", "occurrences or costs")
-		exact    = flag.Bool("exact", false, "full-information sampling instead of threshold cycling")
-		remote   = flag.String("remote", "", "fetch from a probe at host:port instead of measuring locally")
-		retries  = flag.Int("retries", 0, "extra attempts after transient probe failures")
-		fallback = flag.Bool("fallback-local", false, "measure locally if the probe stays unreachable")
-		probeTO  = flag.Duration("probe-timeout", 5*time.Minute, "per-attempt probe deadline")
-		brkAfter = flag.Int("breaker-threshold", 0, "consecutive probe failures before the circuit breaker opens (0 = no breaker)")
-		brkCool  = flag.Duration("breaker-cooldown", 0, "circuit breaker cooldown before a half-open trial (0 = default)")
-		brkMax   = flag.Duration("breaker-max-cooldown", 0, "circuit breaker cooldown cap under repeated failed trials (0 = default)")
-		boundCSV = flag.String("bounds", "", "comma-separated latency thresholds in cycles")
-		slice    = flag.Uint64("slice", 0, "threshold-cycling slice in cycles (0 = 100 Hz)")
-		reps     = flag.Int("reps", 1, "cycled runs to average")
-		width    = flag.Int("width", 60, "histogram bar width")
-		seed     = flag.Int64("seed", 1, "noise seed")
-		wlList   = flag.Bool("workloads", false, "list available workloads")
-		adaptive = flag.Bool("adaptive", false, "repair starved thresholds with adaptive dwell cycling")
-		strict   = flag.Bool("strict", false, "exit nonzero when the fidelity gates below fail")
-		minCov   = flag.Float64("min-coverage", memhist.DefaultCoverageFloor,
+		workload = fs.String("workload", "", "workload to profile")
+		machine  = fs.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
+		threads  = fs.Int("threads", 1, "thread count")
+		modeArg  = fs.String("mode", "occurrences", "occurrences or costs")
+		exact    = fs.Bool("exact", false, "full-information sampling instead of threshold cycling")
+		remote   = fs.String("remote", "", "fetch from a probe at host:port instead of measuring locally")
+		retries  = fs.Int("retries", 0, "extra attempts after transient probe failures")
+		fallback = fs.Bool("fallback-local", false, "measure locally if the probe stays unreachable")
+		probeTO  = fs.Duration("probe-timeout", 5*time.Minute, "per-attempt probe deadline")
+		brkAfter = fs.Int("breaker-threshold", 0, "consecutive probe failures before the circuit breaker opens (0 = no breaker)")
+		brkCool  = fs.Duration("breaker-cooldown", 0, "circuit breaker cooldown before a half-open trial (0 = default)")
+		brkMax   = fs.Duration("breaker-max-cooldown", 0, "circuit breaker cooldown cap under repeated failed trials (0 = default)")
+		boundCSV = fs.String("bounds", "", "comma-separated latency thresholds in cycles")
+		slice    = fs.Uint64("slice", 0, "threshold-cycling slice in cycles (0 = 100 Hz)")
+		reps     = fs.Int("reps", 1, "cycled runs to average")
+		width    = fs.Int("width", 60, "histogram bar width")
+		seed     = fs.Int64("seed", 1, "noise seed")
+		wlList   = fs.Bool("workloads", false, "list available workloads")
+		adaptive = fs.Bool("adaptive", false, "repair starved thresholds with adaptive dwell cycling")
+		strict   = fs.Bool("strict", false, "exit nonzero when the fidelity gates below fail")
+		minCov   = fs.Float64("min-coverage", memhist.DefaultCoverageFloor,
 			"-strict gate: minimum sampling coverage")
-		maxClamp = flag.Float64("max-clamped-share", 1,
+		maxClamp = fs.Float64("max-clamped-share", 1,
 			"-strict gate: maximum share of histogram mass clamped as negative artefacts")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *wlList {
 		for _, n := range workloads.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	if *workload == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	fail := func(err error) int {
+		// Errors from internal/memhist already carry the package prefix.
+		fmt.Fprintf(stderr, "memhist: %s\n", strings.TrimPrefix(err.Error(), "memhist: "))
+		return 1
+	}
+
 	mode := memhist.Occurrences
 	switch *modeArg {
 	case "occurrences":
 	case "costs":
 		mode = memhist.Costs
 	default:
-		fatalf("unknown mode %q", *modeArg)
+		return fail(fmt.Errorf("unknown mode %q", *modeArg))
 	}
 	bounds, err := parseBounds(*boundCSV)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if bounds != nil {
-		// Validate up front for a typed CLI error; Collect/Exact and the
-		// probe re-validate with the same rules.
-		if err := memhist.ValidateBounds(bounds); err != nil {
-			fatal(err)
-		}
-	}
-
 	mach, ok := topology.ByName(*machine)
 	if !ok {
-		fatalf("unknown machine %q (have %v)", *machine, topology.MachineNames())
+		return fail(fmt.Errorf("unknown machine %q (have %v)", *machine, topology.MachineNames()))
 	}
 
+	req := memhist.ProbeRequest{
+		Workload:    *workload,
+		Machine:     *machine,
+		Threads:     *threads,
+		Bounds:      bounds,
+		SliceCycles: *slice,
+		Reps:        *reps,
+		Exact:       *exact,
+		Adaptive:    *adaptive,
+		Seed:        *seed,
+	}
 	var h *memhist.Histogram
-	if *remote != "" {
+	if *remote == "" {
+		h, err = memhist.HandleRequest(req)
+	} else {
 		var breaker *memhist.Breaker
 		if *brkAfter > 0 {
 			breaker = &memhist.Breaker{
@@ -109,70 +140,37 @@ func main() {
 				MaxCooldown: *brkMax,
 			}
 		}
-		h, err = memhist.FetchRemoteWith(*remote, memhist.ProbeRequest{
-			Workload:    *workload,
-			Machine:     *machine,
-			Threads:     *threads,
-			Bounds:      bounds,
-			SliceCycles: *slice,
-			Reps:        *reps,
-			Exact:       *exact,
-			Adaptive:    *adaptive,
-			Seed:        *seed,
-		}, memhist.FetchOptions{
+		h, err = memhist.FetchRemoteWith(*remote, req, memhist.FetchOptions{
 			Timeout:       *probeTO,
 			Retries:       *retries,
 			FallbackLocal: *fallback,
 			Breaker:       breaker,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		switch h.Origin {
-		case memhist.OriginLocalFallback:
-			fmt.Printf("source: local fallback (probe %s unreachable)\n\n", *remote)
-		default:
-			fmt.Printf("source: remote probe %s\n\n", *remote)
-		}
-	} else {
-		wl, ok := workloads.ByName(*workload)
-		if !ok {
-			fatalf("unknown workload %q (have %v)", *workload, workloads.Names())
-		}
-		e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: *threads, Seed: *seed, Chunk: 256})
-		if err != nil {
-			fatal(err)
-		}
-		if *exact {
-			h, err = memhist.Exact(e, wl.Body(), bounds, 1)
-		} else {
-			h, err = memhist.Collect(e, wl.Body(), memhist.Options{
-				Bounds:      bounds,
-				SliceCycles: *slice,
-				Reps:        *reps,
-				Adaptive:    *adaptive,
-			})
-		}
-		if err != nil {
-			fatal(err)
-		}
-		h.Source = wl.Name()
+	}
+	if err != nil {
+		return fail(err)
+	}
+	switch h.Origin {
+	case memhist.OriginLocalFallback:
+		fmt.Fprintf(stdout, "source: local fallback (probe %s unreachable)\n\n", *remote)
+	case memhist.OriginProbe:
+		fmt.Fprintf(stdout, "source: remote probe %s\n\n", *remote)
 	}
 
-	fmt.Print(h.Render(mode, *width))
-	fmt.Println("\npeaks:")
+	fmt.Fprint(stdout, h.Render(mode, *width))
+	fmt.Fprintln(stdout, "\npeaks:")
 	for _, p := range h.Annotate(mach) {
 		hi := fmt.Sprint(p.Hi)
 		if p.Hi == 0 {
 			hi = "∞"
 		}
-		fmt.Printf("  [%d, %s) cycles: %-14s (%.4g events)\n", p.Lo, hi, p.Label, p.Count)
+		fmt.Fprintf(stdout, "  [%d, %s) cycles: %-14s (%.4g events)\n", p.Lo, hi, p.Label, p.Count)
 	}
 	if n := h.NegativeArtifacts(); n > 0 {
-		fmt.Printf("\n%d interval(s) with negative estimates — threshold-cycling artefact, see paper §IV-B\n", n)
+		fmt.Fprintf(stdout, "\n%d interval(s) with negative estimates — threshold-cycling artefact, see paper §IV-B\n", n)
 	}
 	if h.Quality != nil {
-		fmt.Printf("\nsampling fidelity: %s\n", h.Quality)
+		fmt.Fprintf(stdout, "\nsampling fidelity: %s\n", h.Quality)
 	}
 
 	// -strict: the report above is always printed; fidelity only decides
@@ -180,17 +178,18 @@ func main() {
 	if *strict {
 		failed := false
 		if cov := h.Coverage(); cov < *minCov {
-			fmt.Fprintf(os.Stderr, "memhist: -strict: sampling coverage %.3f below floor %.3f\n", cov, *minCov)
+			fmt.Fprintf(stderr, "memhist: -strict: sampling coverage %.3f below floor %.3f\n", cov, *minCov)
 			failed = true
 		}
 		if _, share := h.ClampedMass(); share > *maxClamp {
-			fmt.Fprintf(os.Stderr, "memhist: -strict: clamped negative mass share %.3f exceeds %.3f\n", share, *maxClamp)
+			fmt.Fprintf(stderr, "memhist: -strict: clamped negative mass share %.3f exceeds %.3f\n", share, *maxClamp)
 			failed = true
 		}
 		if failed {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 func parseBounds(csv string) ([]uint64, error) {
@@ -206,15 +205,4 @@ func parseBounds(csv string) ([]uint64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	// Errors from internal/memhist already carry the package prefix.
-	fmt.Fprintf(os.Stderr, "memhist: %s\n", strings.TrimPrefix(err.Error(), "memhist: "))
-	os.Exit(1)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "memhist: "+format+"\n", args...)
-	os.Exit(1)
 }

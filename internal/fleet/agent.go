@@ -53,7 +53,8 @@ type Disruptor interface {
 // deliberately and will not reconnect.
 var ErrAgentDown = errors.New("fleet: probe agent staying down (scripted crash)")
 
-// AgentStats counts a probe agent's lifetime events.
+// AgentStats counts a probe agent's lifetime events. Served and Failed
+// count the RESPONSE and ERROR answers of its request path.
 type AgentStats struct {
 	Connects   uint64 `json:"connects"`
 	Served     uint64 `json:"served"`
@@ -69,8 +70,9 @@ type AgentStats struct {
 // ProbeAgent is the probe side of the fleet control plane: it dials the
 // coordinator, registers with its identity (speaking first, the reverse
 // of the classic front-end handshake), heartbeats on an interval, and
-// serves the measurement cells the coordinator scatters to it. Lost
-// connections reconnect with deterministic backoff under a fresh
+// serves the measurement cells the coordinator scatters to it through
+// memhist.ProbeServer.ServeRequest, the classic probe's request path.
+// Lost connections reconnect with deterministic backoff under a fresh
 // instance number; a quarantine or version verdict is terminal.
 type ProbeAgent struct {
 	// ID is the probe identity (required).
@@ -80,10 +82,6 @@ type ProbeAgent struct {
 	// HeartbeatInterval is the beacon period (0 =
 	// DefaultHeartbeatInterval).
 	HeartbeatInterval time.Duration
-	// DialTimeout bounds one dial (0 = 10s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write (0 = 10s).
-	WriteTimeout time.Duration
 	// Handle serves one cell (nil = memhist.HandleRequest, the
 	// deterministic local engine).
 	Handle func(memhist.ProbeRequest) (*memhist.Histogram, error)
@@ -103,9 +101,9 @@ type ProbeAgent struct {
 	// Dial replaces net.DialTimeout (test hook).
 	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 
+	// srv answers every cell; Run hands it Handle and Logf.
+	srv        memhist.ProbeServer
 	connects   atomic.Uint64
-	served     atomic.Uint64
-	failed     atomic.Uint64
 	heartbeats atomic.Uint64
 	crashes    atomic.Uint64
 	overloads  atomic.Uint64
@@ -114,10 +112,11 @@ type ProbeAgent struct {
 
 // Stats snapshots the agent's counters.
 func (a *ProbeAgent) Stats() AgentStats {
+	answers := a.srv.Stats()
 	return AgentStats{
 		Connects:   a.connects.Load(),
-		Served:     a.served.Load(),
-		Failed:     a.failed.Load(),
+		Served:     answers.Served,
+		Failed:     answers.ErrorsSent,
 		Heartbeats: a.heartbeats.Load(),
 		Crashes:    a.crashes.Load(),
 		Overloads:  a.overloads.Load(),
@@ -152,10 +151,7 @@ func (a *ProbeAgent) Run(ctx context.Context) error {
 	if dial == nil {
 		dial = net.DialTimeout
 	}
-	dialTimeout := a.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 10 * time.Second
-	}
+	a.srv.Handle, a.srv.Logf = a.Handle, a.Logf
 	backoff := probenet.NewBackoff(a.BackoffBase, a.BackoffMax, a.BackoffSeed)
 	clock := a.clock()
 
@@ -232,10 +228,6 @@ func sleepCtx(ctx context.Context, clock clockx.Clock, d time.Duration) bool {
 // the handshake.
 func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64, registered func()) error {
 	defer conn.Close()
-	writeTimeout := a.WriteTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = 10 * time.Second
-	}
 	var writeMu sync.Mutex
 	send := func(t probenet.FrameType, v any) error {
 		writeMu.Lock()
@@ -250,7 +242,7 @@ func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64, 
 	}); err != nil {
 		return err
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	t, payload, err := probenet.ReadFrame(conn)
 	if err != nil {
 		return fmt.Errorf("reading registration ack: %w", err)
@@ -368,7 +360,7 @@ func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64, 
 				}
 				continue
 			}
-			if err := a.answer(send, env); err != nil {
+			if err := a.srv.ServeRequest(env, send); err != nil {
 				return err
 			}
 		case probenet.FrameError:
@@ -389,63 +381,5 @@ func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64, 
 		default:
 			return &probenet.ProtocolError{Reason: fmt.Sprintf("unexpected %s frame from coordinator", t)}
 		}
-	}
-}
-
-// answer measures one cell and writes the RESPONSE or a typed ERROR.
-// Panics in the measurement engine are contained to the request, the
-// same hardening the classic probe server applies.
-func (a *ProbeAgent) answer(send func(probenet.FrameType, any) error, env probenet.Request) error {
-	var req memhist.ProbeRequest
-	if err := json.Unmarshal(env.Body, &req); err != nil {
-		a.failed.Add(1)
-		return send(probenet.FrameError, &probenet.ErrorMsg{
-			ID: env.ID, Code: probenet.CodeBadRequest, Message: fmt.Sprintf("malformed cell request: %v", err),
-		})
-	}
-	h, err := a.measure(req)
-	if err != nil {
-		a.failed.Add(1)
-		return send(probenet.FrameError, &probenet.ErrorMsg{ID: env.ID, Code: errCode(err), Message: err.Error()})
-	}
-	body, err := json.Marshal(h)
-	if err != nil {
-		a.failed.Add(1)
-		return send(probenet.FrameError, &probenet.ErrorMsg{
-			ID: env.ID, Code: probenet.CodeInternal, Message: fmt.Sprintf("encoding histogram: %v", err),
-		})
-	}
-	if err := send(probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body}); err != nil {
-		return err
-	}
-	a.served.Add(1)
-	return nil
-}
-
-func (a *ProbeAgent) measure(req memhist.ProbeRequest) (h *memhist.Histogram, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			h, err = nil, fmt.Errorf("measurement panicked: %v", r)
-		}
-	}()
-	handle := a.Handle
-	if handle == nil {
-		handle = memhist.HandleRequest
-	}
-	return handle(req)
-}
-
-// errCode maps measurement failures onto protocol error codes, the same
-// mapping the classic probe server uses.
-func errCode(err error) probenet.ErrorCode {
-	switch {
-	case errors.Is(err, memhist.ErrBadRequest):
-		return probenet.CodeBadRequest
-	case errors.Is(err, memhist.ErrUnknownWorkload):
-		return probenet.CodeUnknownWorkload
-	case errors.Is(err, memhist.ErrUnknownMachine):
-		return probenet.CodeUnknownMachine
-	default:
-		return probenet.CodeInternal
 	}
 }

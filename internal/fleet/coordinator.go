@@ -57,10 +57,6 @@ type Options struct {
 	// Tick is the campaign loop's bookkeeping period: the granularity of
 	// health sweeps, deadline checks and backoff expiry (0 = 10ms).
 	Tick time.Duration
-	// WriteTimeout bounds any single frame write (0 = 10s).
-	WriteTimeout time.Duration
-	// HandshakeTimeout bounds the registration handshake (0 = 10s).
-	HandshakeTimeout time.Duration
 
 	// JournalPath enables the campaign crash journal; empty runs in
 	// memory only. Every committed cell (raw histogram bytes, fidelity
@@ -117,12 +113,6 @@ func (o Options) withDefaults() Options {
 	if o.Tick <= 0 {
 		o.Tick = 10 * time.Millisecond
 	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 10 * time.Second
-	}
 	if o.Clock == nil {
 		o.Clock = clockx.System()
 	}
@@ -148,6 +138,14 @@ type pendEntry struct {
 	ch       chan<- outcome
 }
 
+// Bounds on both ends of a fleet link: one frame write, the
+// registration handshake, and the agent's dial.
+const (
+	writeTimeout     = 10 * time.Second
+	handshakeTimeout = 10 * time.Second
+	dialTimeout      = 10 * time.Second
+)
+
 // link is one registered probe connection. Writes are serialised; the
 // reader goroutine owns all reads.
 type link struct {
@@ -158,10 +156,10 @@ type link struct {
 	closed   atomic.Bool
 }
 
-func (l *link) send(timeout time.Duration, t probenet.FrameType, v any) error {
+func (l *link) send(t probenet.FrameType, v any) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
-	_ = l.conn.SetWriteDeadline(time.Now().Add(timeout))
+	_ = l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return probenet.WriteFrame(l.conn, t, v)
 }
 
@@ -310,11 +308,11 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 // ERROR frame.
 func (c *Coordinator) handshake(conn net.Conn) {
 	refuse := func(code probenet.ErrorCode, msg string) {
-		_ = conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_ = probenet.WriteFrame(conn, probenet.FrameError, &probenet.ErrorMsg{Code: code, Message: msg})
 		conn.Close()
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(c.opts.HandshakeTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	t, payload, err := probenet.ReadFrame(conn)
 	if err != nil {
 		c.opts.Logf("fleet: registration from %s failed: %v", conn.RemoteAddr(), err)
@@ -368,7 +366,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		// reader's disconnect is recognised as stale and ignored.
 		old.close()
 	}
-	if err := l.send(c.opts.WriteTimeout, probenet.FrameHello, &probenet.Hello{
+	if err := l.send(probenet.FrameHello, &probenet.Hello{
 		Version: probenet.Version, MaxFrame: probenet.MaxFrame,
 	}); err != nil {
 		c.dropLink(l, fmt.Sprintf("registration ack failed: %v", err))
@@ -413,7 +411,7 @@ func (c *Coordinator) readLoop(l *link) {
 			if _, err := c.tracker.Heartbeat(l.id, l.instance, c.now()); err != nil {
 				var qe *QuarantineError
 				if errors.As(err, &qe) {
-					_ = l.send(c.opts.WriteTimeout, probenet.FrameError,
+					_ = l.send(probenet.FrameError,
 						&probenet.ErrorMsg{Code: probenet.CodeQuarantined, Message: qe.Error()})
 				}
 				c.dropLink(l, fmt.Sprintf("heartbeat rejected: %v", err))
@@ -442,7 +440,7 @@ func (c *Coordinator) readLoop(l *link) {
 		case probenet.FramePing:
 			var ping probenet.Ping
 			if err := probenet.Decode(t, payload, &ping); err == nil {
-				_ = l.send(c.opts.WriteTimeout, probenet.FramePong, &probenet.Pong{ID: ping.ID})
+				_ = l.send(probenet.FramePong, &probenet.Pong{ID: ping.ID})
 			}
 		default:
 			c.dropLink(l, fmt.Sprintf("unexpected %s frame from probe", t))
@@ -1012,7 +1010,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			st.attempts++
 			st.lastProbe = probe
 			report.Dispatches++
-			if err := l.send(c.opts.WriteTimeout, probenet.FrameRequest, &probenet.Request{
+			if err := l.send(probenet.FrameRequest, &probenet.Request{
 				ID: id, TimeoutMillis: c.opts.CellTimeout.Milliseconds(), Body: body,
 			}); err != nil {
 				c.cancelPending(id)

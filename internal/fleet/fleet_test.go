@@ -56,13 +56,16 @@ func TestRunCampaignRejectsBadSpec(t *testing.T) {
 }
 
 // dialHello performs a raw registration exchange and returns the reply.
+// The connection stays open until the test ends: once it closes, the
+// coordinator's reader sees EOF and marks the probe dead, so a test
+// asserting on the registered state must read it first.
 func dialHello(t *testing.T, addr string, hello *probenet.Hello) (probenet.FrameType, []byte) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 	if err := probenet.WriteFrame(conn, probenet.FrameHello, hello); err != nil {
 		t.Fatal(err)

@@ -142,11 +142,6 @@ type ProbeServer struct {
 	// The scenario engine and custom probes use it to control what (and
 	// how slowly) the probe measures.
 	Handle func(ProbeRequest) (*Histogram, error)
-	// IdleTimeout bounds the wait for the next frame on an open
-	// connection. Default 2 minutes.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each frame write. Default 30 seconds.
-	WriteTimeout time.Duration
 	// ProbeID, when set, is advertised in the HELLO handshake so front
 	// ends and operators can tell which member of a fleet they reached.
 	// Empty keeps the handshake byte-identical to identity-less probes.
@@ -236,12 +231,6 @@ func (s *ProbeServer) init() {
 		if s.MaxConns <= 0 {
 			s.MaxConns = 16
 		}
-		if s.IdleTimeout <= 0 {
-			s.IdleTimeout = 2 * time.Minute
-		}
-		if s.WriteTimeout <= 0 {
-			s.WriteTimeout = 30 * time.Second
-		}
 		seed := s.Seed
 		if seed == 0 {
 			seed = 1
@@ -264,6 +253,14 @@ func (s *ProbeServer) init() {
 const (
 	retryAfterBase = 25 * time.Millisecond
 	retryAfterMax  = 500 * time.Millisecond
+)
+
+// Connection deadlines: idleTimeout bounds the wait for the next frame
+// on an open connection (and a queued request's wait when the client
+// propagated no deadline), writeTimeout each frame write.
+const (
+	idleTimeout  = 2 * time.Minute
+	writeTimeout = 30 * time.Second
 )
 
 // retryAfterMillis draws the next backpressure hint: a capped seeded-
@@ -319,7 +316,7 @@ func (s *ProbeServer) admit(timeoutMillis int64) (release func(), brown, shed bo
 	// waiting — the other half must remain for the measurement and the
 	// response write. No deadline caps the wait at the idle timeout so
 	// a silent client cannot pin a queue slot forever.
-	wait := s.IdleTimeout
+	wait := idleTimeout
 	if timeoutMillis > 0 {
 		wait = time.Duration(timeoutMillis) * time.Millisecond / 2
 	}
@@ -486,39 +483,37 @@ func (s *ProbeServer) Serve(l net.Listener) error {
 // backpressure — and closes it.
 func (s *ProbeServer) reject(conn net.Conn, code probenet.ErrorCode, msg string, retryAfterMillis int64) {
 	defer conn.Close()
-	s.writeFrame(conn, probenet.FrameError, &probenet.ErrorMsg{Code: code, Message: msg, RetryAfterMillis: retryAfterMillis})
-	s.stats.errorsSent.Add(1)
+	s.sendError(s.writer(conn), 0, code, msg, retryAfterMillis)
 }
 
-// writeFrame writes one frame under the write deadline, logging and
-// counting failures (the original implementation discarded them).
-func (s *ProbeServer) writeFrame(conn net.Conn, t probenet.FrameType, v any) error {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-	if err := probenet.WriteFrame(conn, t, v); err != nil {
-		s.stats.encodeFailures.Add(1)
-		s.logf("memhist: probe failed to send %s to %s: %v", t, conn.RemoteAddr(), err)
-		return err
+// writer returns the frame writer for conn: each frame under the write
+// deadline, with failures logged and counted (the original
+// implementation discarded them).
+func (s *ProbeServer) writer(conn net.Conn) func(probenet.FrameType, any) error {
+	return func(t probenet.FrameType, v any) error {
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if err := probenet.WriteFrame(conn, t, v); err != nil {
+			s.stats.encodeFailures.Add(1)
+			s.logf("memhist: probe failed to send %s to %s: %v", t, conn.RemoteAddr(), err)
+			return err
+		}
+		return nil
 	}
-	return nil
 }
 
-func (s *ProbeServer) sendError(conn net.Conn, id uint64, code probenet.ErrorCode, msg string) error {
-	return s.sendErrorRetry(conn, id, code, msg, 0)
-}
-
-// sendErrorRetry sends an ERROR frame carrying a retry-after hint —
+// sendError writes an ERROR frame; a nonzero retry-after hint makes it
 // the request-scoped backpressure answer of the admission queue.
-func (s *ProbeServer) sendErrorRetry(conn net.Conn, id uint64, code probenet.ErrorCode, msg string, retryAfterMillis int64) error {
-	return s.writeCounted(conn, probenet.FrameError, &probenet.ErrorMsg{ID: id, Code: code, Message: msg, RetryAfterMillis: retryAfterMillis}, &s.stats.errorsSent)
+func (s *ProbeServer) sendError(write func(probenet.FrameType, any) error, id uint64, code probenet.ErrorCode, msg string, retryAfterMillis int64) error {
+	return writeCounted(&s.stats.errorsSent, write, probenet.FrameError,
+		&probenet.ErrorMsg{ID: id, Code: code, Message: msg, RetryAfterMillis: retryAfterMillis})
 }
 
 // writeCounted writes a frame that n counts. The count goes up before
 // the write, since a client may PING as soon as it has read the frame
-// and must see it counted; a failed write takes the count back
-// (writeFrame has counted the failure).
-func (s *ProbeServer) writeCounted(conn net.Conn, t probenet.FrameType, v any, n *atomic.Uint64) error {
+// and must see it counted; a failed write takes the count back.
+func writeCounted(n *atomic.Uint64, write func(probenet.FrameType, any) error, t probenet.FrameType, v any) error {
 	n.Add(1)
-	err := s.writeFrame(conn, t, v)
+	err := write(t, v)
 	if err != nil {
 		n.Add(^uint64(0))
 	}
@@ -530,6 +525,7 @@ func (s *ProbeServer) writeCounted(conn net.Conn, t probenet.FrameType, v any, n
 // server drains.
 func (s *ProbeServer) handle(pc *probeConn) {
 	conn := pc.conn
+	write := s.writer(conn)
 	hello := &probenet.Hello{
 		Version:   probenet.Version,
 		Workloads: workloads.Names(),
@@ -538,15 +534,15 @@ func (s *ProbeServer) handle(pc *probeConn) {
 		ProbeID:   s.ProbeID,
 		Instance:  s.Instance,
 	}
-	if s.writeFrame(conn, probenet.FrameHello, hello) != nil {
+	if write(probenet.FrameHello, hello) != nil {
 		return
 	}
 	for {
 		if s.draining.Load() {
-			s.sendErrorRetry(conn, 0, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
+			s.sendError(write, 0, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
 			return
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		t, payload, err := probenet.ReadFrame(conn)
 		if err != nil {
 			// A malformed stream (bad magic, checksum mismatch,
@@ -564,43 +560,50 @@ func (s *ProbeServer) handle(pc *probeConn) {
 		case probenet.FramePing:
 			var ping probenet.Ping
 			if probenet.Decode(t, payload, &ping) != nil {
-				s.sendError(conn, 0, probenet.CodeBadRequest, "malformed PING")
+				s.sendError(write, 0, probenet.CodeBadRequest, "malformed PING", 0)
 				continue
 			}
 			stats, _ := json.Marshal(s.Stats())
-			if s.writeFrame(conn, probenet.FramePong, &probenet.Pong{ID: ping.ID, Stats: stats}) != nil {
+			if write(probenet.FramePong, &probenet.Pong{ID: ping.ID, Stats: stats}) != nil {
 				return
 			}
 		case probenet.FrameRequest:
-			if !s.handleRequest(pc, payload) {
+			var env probenet.Request
+			if probenet.Decode(t, payload, &env) != nil {
+				s.sendError(write, 0, probenet.CodeBadRequest, "malformed REQUEST envelope", 0)
+				continue
+			}
+			if !pc.beginRequest() {
+				return
+			}
+			err := s.ServeRequest(env, write)
+			pc.endRequest()
+			if err != nil {
 				return
 			}
 		default:
-			s.sendError(conn, 0, probenet.CodeBadRequest, fmt.Sprintf("unexpected %s frame", t))
+			s.sendError(write, 0, probenet.CodeBadRequest, fmt.Sprintf("unexpected %s frame", t), 0)
 		}
 	}
 }
 
-// handleRequest serves one REQUEST frame; false tells the caller to
-// drop the connection.
-func (s *ProbeServer) handleRequest(pc *probeConn, payload []byte) bool {
-	conn := pc.conn
-	var env probenet.Request
-	if probenet.Decode(probenet.FrameRequest, payload, &env) != nil {
-		s.sendError(conn, 0, probenet.CodeBadRequest, "malformed REQUEST envelope")
-		return true
-	}
+// ServeRequest answers one REQUEST envelope through write, the one
+// request path of the probe: its connection loop and the fleet's probe
+// agent both call it, so every route measures and answers alike. It
+// decodes and validates the body, applies admission control and
+// brownout, measures with panic recovery, maps a failure onto its error
+// code, accounts sampling fidelity, and encodes the RESPONSE. Every
+// RESPONSE or ERROR is counted before write is called, so a peer that
+// has read it sees it counted; a failed write takes the count back. The
+// error returned is write's, after which the link is unusable.
+func (s *ProbeServer) ServeRequest(env probenet.Request, write func(probenet.FrameType, any) error) error {
+	s.init()
 	var req ProbeRequest
 	if err := json.Unmarshal(env.Body, &req); err != nil {
-		s.sendError(conn, env.ID, probenet.CodeBadRequest, fmt.Sprintf("malformed request body: %v", err))
-		return true
+		return s.sendError(write, env.ID, probenet.CodeBadRequest, fmt.Sprintf("malformed request body: %v", err), 0)
 	}
 	if err := req.Validate(); err != nil {
-		s.sendError(conn, env.ID, probenet.CodeBadRequest, err.Error())
-		return true
-	}
-	if !pc.beginRequest() {
-		return false
+		return s.sendError(write, env.ID, probenet.CodeBadRequest, err.Error(), 0)
 	}
 	// Request-level admission: past MaxInflight the request queues up to
 	// the budget and is shed — with a retry-after hint — once its queue
@@ -608,55 +611,36 @@ func (s *ProbeServer) handleRequest(pc *probeConn, payload []byte) bool {
 	// the probe browns out and serves reduced fidelity instead.
 	release, brown, shed, hintMillis := s.admit(env.TimeoutMillis)
 	if shed {
-		s.sendErrorRetry(conn, env.ID, probenet.CodeOverloaded,
+		return s.sendError(write, env.ID, probenet.CodeOverloaded,
 			fmt.Sprintf("probe shedding load (inflight limit %d, queue budget %d)", s.MaxInflight, s.QueueBudget),
 			hintMillis)
-		pc.endRequest()
-		return true
-	}
-	// Honour the client's propagated deadline for the response write:
-	// measuring past the point where the client gave up only wastes a
-	// slot on a response nobody reads.
-	deadline := time.Time{}
-	if env.TimeoutMillis > 0 {
-		deadline = time.Now().Add(time.Duration(env.TimeoutMillis) * time.Millisecond)
 	}
 	if brown {
 		req = brownoutRequest(req)
 	}
 	h, err := s.measure(req)
 	release()
-	if err == nil && brown && !req.Exact {
+	if err != nil {
+		return s.sendError(write, env.ID, errorCode(err), err.Error(), 0)
+	}
+	if brown && !req.Exact {
 		h.Brownout = true
 	}
-	ok := true
-	if err != nil {
-		s.sendError(conn, env.ID, errorCode(err), err.Error())
-	} else {
-		// Fidelity accounting: the probe's operators see sampling losses
-		// in the PING stats even when every individual response is
-		// accepted by its client.
-		if q := h.Quality; q != nil {
-			s.stats.samplesDropped.Add(q.Dropped())
-			s.stats.throttledCycles.Add(q.ThrottledCycles)
-		}
-		if h.Coverage() < DefaultCoverageFloor {
-			s.stats.lowCoverageServed.Add(1)
-		}
-		body, merr := json.Marshal(h)
-		if merr != nil {
-			s.sendError(conn, env.ID, probenet.CodeInternal, fmt.Sprintf("encoding histogram: %v", merr))
-		} else {
-			if !deadline.IsZero() {
-				_ = conn.SetWriteDeadline(deadline)
-			}
-			if s.writeCounted(conn, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body}, &s.stats.served) != nil {
-				ok = false
-			}
-		}
+	// Fidelity accounting: the probe's operators see sampling losses in
+	// the PING stats even when every individual response is accepted by
+	// its client.
+	if q := h.Quality; q != nil {
+		s.stats.samplesDropped.Add(q.Dropped())
+		s.stats.throttledCycles.Add(q.ThrottledCycles)
 	}
-	pc.endRequest()
-	return ok
+	if h.Coverage() < DefaultCoverageFloor {
+		s.stats.lowCoverageServed.Add(1)
+	}
+	body, err := json.Marshal(h)
+	if err != nil {
+		return s.sendError(write, env.ID, probenet.CodeInternal, fmt.Sprintf("encoding histogram: %v", err), 0)
+	}
+	return writeCounted(&s.stats.served, write, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body})
 }
 
 // measure runs the request with its own panic recovery so a workload
@@ -707,7 +691,7 @@ func (s *ProbeServer) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 
 	farewell := func(c net.Conn) {
-		s.sendErrorRetry(c, 0, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
+		s.sendError(s.writer(c), 0, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
 	}
 	for _, pc := range idle {
 		pc.closeIfIdle(farewell)
