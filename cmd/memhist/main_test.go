@@ -18,7 +18,8 @@ func runCLI(args ...string) (int, string, string) {
 
 // TestRunExitCodes table-tests every exit path. mlc-local's threshold
 // cycling starves every threshold above L2 (coverage 0) and leaves a
-// negative 4–8-cycle bin, so each -strict gate fails on its own.
+// negative 4–8-cycle bin, so each -strict gate fails on its own. No
+// row may print the "memhist:" prefix twice.
 func TestRunExitCodes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -46,8 +47,8 @@ func TestRunExitCodes(t *testing.T) {
 			if code != tc.want {
 				t.Fatalf("run(%v) = %d, want %d (stderr: %s)", tc.args, code, tc.want, stderr)
 			}
-			if !strings.Contains(stderr, tc.stderr) {
-				t.Errorf("stderr %q does not mention %q", stderr, tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) || strings.Count(stderr, "memhist:") > 1 {
+				t.Errorf("stderr %q does not mention %q once prefixed", stderr, tc.stderr)
 			}
 		})
 	}

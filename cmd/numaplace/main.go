@@ -12,37 +12,57 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"numaperf"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process-global parts so tests can drive every
+// exit path: 0 on success, 1 when the workload, the machine or a
+// measurement fails, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("numaplace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "", "workload to place (see -workloads)")
-		machine  = flag.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
-		threads  = flag.Int("threads", 8, "thread count")
-		reps     = flag.Int("reps", 2, "repetitions per configuration")
-		seed     = flag.Int64("seed", 1, "noise seed")
-		wlList   = flag.Bool("workloads", false, "list available workloads")
+		workload = fs.String("workload", "", "workload to place (see -workloads)")
+		machine  = fs.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
+		threads  = fs.Int("threads", 8, "thread count")
+		reps     = fs.Int("reps", 2, "repetitions per configuration")
+		seed     = fs.Int64("seed", 1, "noise seed")
+		wlList   = fs.Bool("workloads", false, "list available workloads")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *wlList {
 		for _, n := range numaperf.WorkloadNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	if *workload == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "numaplace: "+format+"\n", args...)
+		return 1
 	}
 	wl, ok := numaperf.WorkloadByName(*workload)
 	if !ok {
-		fatalf("unknown workload %q (have %v)", *workload, numaperf.WorkloadNames())
+		return fail("unknown workload %q (have %v)", *workload, numaperf.WorkloadNames())
 	}
 	s, err := numaperf.NewSession(
 		numaperf.WithMachineName(*machine),
@@ -50,21 +70,17 @@ func main() {
 		numaperf.WithSeed(*seed),
 	)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	rows, err := s.ComparePlacements(wl, *reps)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
-	fmt.Printf("%s on %s, %d threads, %d reps per configuration\n\n",
+	fmt.Fprintf(stdout, "%s on %s, %d threads, %d reps per configuration\n\n",
 		wl.Name(), s.Machine().Name, *threads, *reps)
-	fmt.Print(numaperf.RenderPlacements(rows))
+	fmt.Fprint(stdout, numaperf.RenderPlacements(rows))
 	best := rows[0]
-	fmt.Printf("\nrecommendation: %s pages with %s pinning (%.2fx over the worst choice)\n",
+	fmt.Fprintf(stdout, "\nrecommendation: %s pages with %s pinning (%.2fx over the worst choice)\n",
 		best.Policy, best.Mapping, best.Speedup)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "numaplace: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

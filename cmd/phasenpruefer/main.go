@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"numaperf/internal/exec"
@@ -28,53 +30,66 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process-global parts so tests can drive every
+// exit path: 0 on success, 1 when the machine, the workload or the
+// analysis fails, or when -strict meets a verdict, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("phasenpruefer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "", "workload to analyse")
-		machine  = flag.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
-		threads  = flag.Int("threads", 2, "thread count")
-		k        = flag.Int("k", 2, "number of phases to detect (0 = automatic via BIC)")
-		slice    = flag.Uint64("slice", 0, "sampling interval in cycles (0 = auto)")
-		seed     = flag.Int64("seed", 1, "noise seed")
-		wlList   = flag.Bool("workloads", false, "list available workloads")
-		strict   = flag.Bool("strict", false, "exit nonzero when no phase transition is statistically justified")
+		workload = fs.String("workload", "", "workload to analyse")
+		machine  = fs.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
+		threads  = fs.Int("threads", 2, "thread count")
+		k        = fs.Int("k", 2, "number of phases to detect (0 = automatic via BIC)")
+		slice    = fs.Uint64("slice", 0, "sampling interval in cycles (0 = auto)")
+		seed     = fs.Int64("seed", 1, "noise seed")
+		wlList   = fs.Bool("workloads", false, "list available workloads")
+		strict   = fs.Bool("strict", false, "exit nonzero when no phase transition is statistically justified")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *wlList {
 		for _, n := range workloads.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	if *workload == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "phasenpruefer: "+format+"\n", args...)
+		return 1
 	}
 	mach, ok := topology.ByName(*machine)
 	if !ok {
-		fatalf("unknown machine %q (have %v)", *machine, topology.MachineNames())
+		return fail("unknown machine %q (have %v)", *machine, topology.MachineNames())
 	}
 	wl, ok := workloads.ByName(*workload)
 	if !ok {
-		fatalf("unknown workload %q (have %v)", *workload, workloads.Names())
+		return fail("unknown workload %q (have %v)", *workload, workloads.Names())
 	}
 	e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: *threads, Seed: *seed})
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	rep, err := phase.Analyze(e, wl.Body(), *k, *slice)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
-	fmt.Printf("%s on %s (%d threads)\n\n", wl.Name(), mach.Name, *threads)
-	fmt.Print(rep.Render())
+	fmt.Fprintf(stdout, "%s on %s (%d threads)\n\n", wl.Name(), mach.Name, *threads)
+	fmt.Fprint(stdout, rep.Render())
 	if *strict && rep.Verdict != nil {
-		fmt.Fprintf(os.Stderr, "phasenpruefer: -strict: %v\n", rep.Verdict)
-		os.Exit(1)
+		return fail("-strict: %v", rep.Verdict)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "phasenpruefer: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

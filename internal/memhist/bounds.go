@@ -9,13 +9,22 @@ import (
 // shape invariants. Before this check existed, unsorted or duplicate
 // bounds flowed straight into the neighbour subtraction and produced
 // meaningless signed artefacts instead of an error.
-var ErrBadBounds = errors.New("memhist: invalid histogram bounds")
+var ErrBadBounds = errors.New("invalid histogram bounds")
 
 // ValidateBounds checks histogram interval bounds: at least two,
 // strictly ascending (which also forbids duplicates) and nonzero — a
 // zero threshold matches every retired load and cannot anchor a
 // half-open latency interval. Errors unwrap to ErrBadBounds.
 func ValidateBounds(bounds []uint64) error {
+	if err := checkBounds(bounds); err != nil {
+		return fmt.Errorf("memhist: %w", err)
+	}
+	return nil
+}
+
+// checkBounds is ValidateBounds without the package prefix, for errors
+// that wrap it under their own.
+func checkBounds(bounds []uint64) error {
 	if len(bounds) < 2 {
 		return fmt.Errorf("%w: need at least two bounds, got %d", ErrBadBounds, len(bounds))
 	}

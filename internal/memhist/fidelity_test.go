@@ -129,6 +129,9 @@ func TestRequestValidateRejectsBadBounds(t *testing.T) {
 	if !errors.Is(err, ErrBadBounds) {
 		t.Errorf("err = %v, want ErrBadBounds too", err)
 	}
+	if n := strings.Count(err.Error(), "memhist:"); n != 1 {
+		t.Errorf("err = %q carries the package prefix %d times, want once", err, n)
+	}
 }
 
 func TestClampedMass(t *testing.T) {

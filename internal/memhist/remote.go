@@ -89,7 +89,7 @@ func (r ProbeRequest) Validate() error {
 		return fmt.Errorf("memhist: %w: %d bounds exceed cap %d", ErrBadRequest, len(r.Bounds), MaxRequestBounds)
 	}
 	if len(r.Bounds) > 0 {
-		if err := ValidateBounds(r.Bounds); err != nil {
+		if err := checkBounds(r.Bounds); err != nil {
 			return fmt.Errorf("memhist: %w: %w", ErrBadRequest, err)
 		}
 	}

@@ -73,32 +73,11 @@ func (m MLC) Body() func(*exec.Thread) {
 			t.MovePages(buf, target)
 		}
 
-		// Build a single-cycle permutation over cache lines (Sattolo's
-		// algorithm) so the chase visits every line exactly once per
-		// lap in an unpredictable order.
-		lines := size / 64
-		perm := make([]uint64, lines)
-		for i := range perm {
-			perm[i] = uint64(i)
-		}
-		rng := newLCG(12345)
-		for i := lines - 1; i > 0; i-- {
-			j := uint64(rng.next()) % i
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		next := make([]uint64, lines)
-		for i := uint64(0); i < lines-1; i++ {
-			next[perm[i]] = perm[i+1]
-		}
-		next[perm[lines-1]] = perm[0]
-
-		cur := perm[0]
 		t.Begin("chase")
-		for i := 0; i < chases; i++ {
-			t.LoadDep(buf.Addr(cur * 64))
-			cur = next[cur]
+		sattoloWalk(size/64, 12345, chases, func(line uint64) {
+			t.LoadDep(buf.Addr(line * 64))
 			t.Instr(1) // pointer dereference bookkeeping
-		}
+		})
 		t.End()
 	}
 }

@@ -90,25 +90,9 @@ func (pc PointerChase) Body() func(*exec.Thread) {
 			return
 		}
 		buf := t.Alloc(lines * 64)
-		perm := make([]uint64, lines)
-		for i := range perm {
-			perm[i] = uint64(i)
-		}
-		rng := newLCG(99)
-		for i := lines - 1; i > 0; i-- {
-			j := uint64(rng.next()) % i
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		next := make([]uint64, lines)
-		for i := uint64(0); i < lines-1; i++ {
-			next[perm[i]] = perm[i+1]
-		}
-		next[perm[lines-1]] = perm[0]
-		cur := perm[0]
-		for i := 0; i < hops; i++ {
-			t.LoadDep(buf.Addr(cur * 64))
-			cur = next[cur]
+		sattoloWalk(lines, 99, hops, func(line uint64) {
+			t.LoadDep(buf.Addr(line * 64))
 			t.Instr(1)
-		}
+		})
 	}
 }

@@ -39,6 +39,30 @@ func (l *lcg) bits() uint32 { return l.next() >> 16 }
 // chance returns true with probability p/256.
 func (l *lcg) chance(p uint32) bool { return l.bits()%256 < p }
 
+// sattoloWalk calls visit for hops lines of a dependent pointer chase
+// over [0, lines). The chase follows a single-cycle permutation
+// (Sattolo's algorithm, driven by an LCG from seed), so it visits every
+// line exactly once per lap in an unpredictable order. A chase through
+// next[perm[i]] = perm[i+1] from perm[0] visits perm in order, so the
+// walk reads perm with an index that wraps at lines.
+func sattoloWalk(lines uint64, seed uint32, hops int, visit func(line uint64)) {
+	perm := make([]uint64, lines)
+	for i := range perm {
+		perm[i] = uint64(i)
+	}
+	rng := newLCG(seed)
+	for i := lines - 1; i > 0; i-- {
+		j := uint64(rng.next()) % i
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	for i, k := 0, 0; i < hops; i++ {
+		visit(perm[k])
+		if k++; k == len(perm) {
+			k = 0
+		}
+	}
+}
+
 // Branch site IDs. Keeping them distinct per logical branch mirrors
 // PC-indexed prediction; unrelated workloads may share IDs without harm
 // because the engine resets predictor state between runs.
