@@ -56,6 +56,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *threads < 1 {
+		fmt.Fprintf(stderr, "numaplace: -threads must be at least 1, got %d\n", *threads)
+		return 2
+	}
+	if *reps < 1 {
+		fmt.Fprintf(stderr, "numaplace: -reps must be at least 1, got %d\n", *reps)
+		return 2
+	}
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "numaplace: "+format+"\n", args...)
 		return 1

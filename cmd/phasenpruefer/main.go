@@ -66,6 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *threads < 1 {
+		fmt.Fprintf(stderr, "phasenpruefer: -threads must be at least 1, got %d\n", *threads)
+		return 2
+	}
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "phasenpruefer: "+format+"\n", args...)
 		return 1

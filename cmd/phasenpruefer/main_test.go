@@ -27,6 +27,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"workloads", []string{"-workloads"}, 0, "pointer-chase\n", ""},
 		{"bad flag", []string{"-definitely-not-a-flag"}, 2, "", ""},
 		{"no workload", nil, 2, "", "Usage"},
+		{"zero threads", []string{"-workload", "pointer-chase", "-threads", "0"}, 2, "", "phasenpruefer: -threads must be at least 1, got 0\n"},
+		{"negative threads", []string{"-workload", "pointer-chase", "-threads", "-1"}, 2, "", "phasenpruefer: -threads must be at least 1, got -1\n"},
 		{"unknown machine", []string{"-workload", "pointer-chase", "-machine", "mystery"}, 1, "", "unknown machine"},
 		{"unknown workload", []string{"-workload", "nope"}, 1, "", "unknown workload"},
 		{"too many threads", []string{"-workload", "pointer-chase", "-machine", "uma", "-threads", "9"}, 1, "", "9 threads exceed 8 cores"},

@@ -24,8 +24,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -49,22 +51,64 @@ var families = map[string]func(param float64) workloads.Workload{
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process-global parts so tests can drive every
+// exit path: 0 on success, 1 when the family, a machine or a training
+// size is unknown, a collection phase or the strategy fails, or -strict
+// meets a hard caveat, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("twostep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		family   = flag.String("family", "triad", "workload family: triad, chase, sort")
-		trainCSV = flag.String("train", "65536,98304,131072,196608,262144", "training sizes")
-		target   = flag.Float64("target", 1048576, "size to predict")
-		reps     = flag.Int("reps", 2, "runs per training size")
-		machine  = flag.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
-		transfer = flag.String("transfer", "", "re-calibrate the cost model on this machine")
-		maxInd   = flag.Int("indicators", 4, "maximum indicator count")
-		threads  = flag.Int("threads", 1, "thread count")
-		seed     = flag.Int64("seed", 1, "noise seed")
-		runTO    = flag.Duration("run-timeout", campaign.DefaultRunTimeout, "wall-clock budget per collection phase (0 = none)")
-		maxRetry = flag.Int("max-retries", campaign.DefaultMaxRetries, "retries per collection phase on transient failure (0 = none)")
-		parallel = flag.Int("parallel", 1, "training sizes measured concurrently; results are identical at any setting")
-		strict   = flag.Bool("strict", false, "exit nonzero when the strategy carries hard data-quality caveats")
+		family   = fs.String("family", "triad", "workload family: triad, chase, sort")
+		trainCSV = fs.String("train", "65536,98304,131072,196608,262144", "training sizes")
+		target   = fs.Float64("target", 1048576, "size to predict")
+		reps     = fs.Int("reps", 2, "runs per training size")
+		machine  = fs.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
+		transfer = fs.String("transfer", "", "re-calibrate the cost model on this machine")
+		maxInd   = fs.Int("indicators", 4, "maximum indicator count")
+		threads  = fs.Int("threads", 1, "thread count")
+		seed     = fs.Int64("seed", 1, "noise seed")
+		runTO    = fs.Duration("run-timeout", campaign.DefaultRunTimeout, "wall-clock budget per collection phase (0 = none)")
+		maxRetry = fs.Int("max-retries", campaign.DefaultMaxRetries, "retries per collection phase on transient failure (0 = none)")
+		parallel = fs.Int("parallel", 1, "training sizes measured concurrently; results are identical at any setting")
+		strict   = fs.Bool("strict", false, "exit nonzero when the strategy carries hard data-quality caveats")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "twostep: "+format+"\n", args...)
+		return 1
+	}
+
+	mk, ok := families[*family]
+	if !ok {
+		return fail("unknown family %q", *family)
+	}
+	mach, ok := topology.ByName(*machine)
+	if !ok {
+		return fail("unknown machine %q (have %v)", *machine, topology.MachineNames())
+	}
+	var transferMach *topology.Machine
+	if *transfer != "" {
+		if transferMach, ok = topology.ByName(*transfer); !ok {
+			return fail("unknown transfer machine %q", *transfer)
+		}
+	}
+	var trainSizes []float64
+	for _, s := range strings.Split(*trainCSV, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
+			return fail("bad training size %q: %v", s, err)
+		}
+		trainSizes = append(trainSizes, v)
+	}
 
 	// Each collection phase (training, calibration, truth) runs under
 	// the same supervision a campaign cell gets: wall-clock timeout,
@@ -74,70 +118,53 @@ func main() {
 	// reassembled in size order, so the fitted models and the report are
 	// identical at any setting.
 	sup := campaign.NewSupervisor(*runTO, *maxRetry, *seed)
-	collect := func(phase string, sizes []float64, c func(p float64) (*exec.Engine, func(*exec.Thread), error)) []core.TrainingPoint {
+	collect := func(phase string, sizes []float64, m *topology.Machine) ([]core.TrainingPoint, error) {
 		pts, attempts, err := campaign.Do(sup, func() ([]core.TrainingPoint, error) {
-			return core.CollectTrainingParallel(sizes, *reps, *parallel, c)
+			return core.CollectTrainingParallel(sizes, *reps, *parallel, func(p float64) (*exec.Engine, func(*exec.Thread), error) {
+				e, err := exec.NewEngine(exec.Config{Machine: m, Threads: *threads, Seed: *seed})
+				if err != nil {
+					return nil, nil, err
+				}
+				return e, mk(p).Body(), nil
+			})
 		})
 		if err != nil {
-			fatalf("%s: %v", phase, err)
+			return nil, fmt.Errorf("%s: %w", phase, err)
 		}
 		if attempts > 1 {
-			fmt.Fprintf(os.Stderr, "twostep: %s succeeded after %d attempts\n", phase, attempts)
+			fmt.Fprintf(stderr, "twostep: %s succeeded after %d attempts\n", phase, attempts)
 		}
-		return pts
+		return pts, nil
 	}
 
-	mk, ok := families[*family]
-	if !ok {
-		fatalf("unknown family %q", *family)
+	fmt.Fprintf(stdout, "training %s on %s at sizes %v (%d reps)\n", *family, mach.Name, trainSizes, *reps)
+	train, err := collect("training", trainSizes, mach)
+	if err != nil {
+		return fail("%v", err)
 	}
-	mach, ok := topology.ByName(*machine)
-	if !ok {
-		fatalf("unknown machine %q (have %v)", *machine, topology.MachineNames())
-	}
-	var trainSizes []float64
-	for _, s := range strings.Split(*trainCSV, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			fatalf("bad training size %q: %v", s, err)
-		}
-		trainSizes = append(trainSizes, v)
-	}
-
-	collector := func(m *topology.Machine) func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-		return func(p float64) (*exec.Engine, func(*exec.Thread), error) {
-			e, err := exec.NewEngine(exec.Config{Machine: m, Threads: *threads, Seed: *seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return e, mk(p).Body(), nil
-		}
-	}
-
-	fmt.Printf("training %s on %s at sizes %v (%d reps)\n", *family, mach.Name, trainSizes, *reps)
-	train := collect("training", trainSizes, collector(mach))
 	st, err := core.Build(train, "size", *maxInd)
 	if err != nil {
-		fatalf("building strategy: %v", err)
+		return fail("building strategy: %v", err)
 	}
-	fmt.Printf("\n%s\n", st.String())
+	fmt.Fprintf(stdout, "\n%s\n", st.String())
 
 	evalMach := mach
-	if *transfer != "" {
-		tm, ok := topology.ByName(*transfer)
-		if !ok {
-			fatalf("unknown transfer machine %q", *transfer)
-		}
-		fmt.Printf("re-calibrating the cost model on %s\n", tm.Name)
-		calib := collect("calibration", trainSizes, collector(tm))
-		st, err = st.Transfer(calib)
+	if transferMach != nil {
+		fmt.Fprintf(stdout, "re-calibrating the cost model on %s\n", transferMach.Name)
+		calib, err := collect("calibration", trainSizes, transferMach)
 		if err != nil {
-			fatalf("transfer: %v", err)
+			return fail("%v", err)
 		}
-		evalMach = tm
+		if st, err = st.Transfer(calib); err != nil {
+			return fail("transfer: %v", err)
+		}
+		evalMach = transferMach
 	}
 
-	truth := collect("measuring target", []float64{*target}, collector(evalMach))
+	truth, err := collect("measuring target", []float64{*target}, evalMach)
+	if err != nil {
+		return fail("%v", err)
+	}
 	var actual float64
 	for _, p := range truth {
 		actual += p.Cycles
@@ -145,27 +172,26 @@ func main() {
 	actual /= float64(len(truth))
 
 	pred := st.PredictCycles(*target)
-	fmt.Printf("\npredicting size %.0f on %s:\n", *target, evalMach.Name)
-	fmt.Printf("%-14s %14.4g cycles  error %6.1f%%\n", "two-step", pred, 100*relErr(pred, actual))
-	fmt.Printf("%-14s %14.4g cycles  (measured, %d runs)\n", "actual", actual, len(truth))
+	fmt.Fprintf(stdout, "\npredicting size %.0f on %s:\n", *target, evalMach.Name)
+	fmt.Fprintf(stdout, "%-14s %14.4g cycles  error %6.1f%%\n", "two-step", pred, 100*relErr(pred, actual))
+	fmt.Fprintf(stdout, "%-14s %14.4g cycles  (measured, %d runs)\n", "actual", actual, len(truth))
 
 	char := models.Characterize(resultOf(truth))
-	fmt.Println("\nmonolithic baselines (no counter access):")
+	fmt.Fprintln(stdout, "\nmonolithic baselines (no counter access):")
 	for _, b := range models.All() {
 		p := b.PredictCycles(char, evalMach)
-		fmt.Printf("%-14s %14.4g cycles  error %6.1f%%\n", b.Name(), p, 100*relErr(p, actual))
+		fmt.Fprintf(stdout, "%-14s %14.4g cycles  error %6.1f%%\n", b.Name(), p, 100*relErr(p, actual))
 	}
 
 	if *strict {
 		switch {
 		case st.HardDegraded():
-			fmt.Fprintln(os.Stderr, "twostep: -strict: strategy carries hard data-quality caveats (see report above)")
-			os.Exit(1)
+			return fail("-strict: strategy carries hard data-quality caveats (see report above)")
 		case math.IsNaN(pred) || math.IsInf(pred, 0):
-			fmt.Fprintf(os.Stderr, "twostep: -strict: prediction is non-finite (%g)\n", pred)
-			os.Exit(1)
+			return fail("-strict: prediction is non-finite (%g)", pred)
 		}
 	}
+	return 0
 }
 
 // resultOf reconstructs a minimal result view for Characterize from a
@@ -181,9 +207,4 @@ func relErr(pred, actual float64) float64 {
 		return 0
 	}
 	return math.Abs(pred-actual) / actual
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "twostep: "+format+"\n", args...)
-	os.Exit(1)
 }

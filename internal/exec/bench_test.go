@@ -44,7 +44,7 @@ func BenchmarkEngineRun(b *testing.B) {
 
 // engineAllocBudget caps the allocations of one BenchmarkEngineRun
 // iteration. A run allocates per thread and per chunk, never per
-// simulated op, so it sits far below the budget (59 and 93 allocs at
+// simulated op, so it sits far below the budget (56 and 84 allocs at
 // threads=1 and 4 on go1.24), while one allocation slipping into the
 // per-op path adds 8192 per run.
 const engineAllocBudget = 256

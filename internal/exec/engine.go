@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"numaperf/internal/counters"
 	"numaperf/internal/memsim"
@@ -90,6 +91,13 @@ type Engine struct {
 	regions      *regionTable
 	regionStates []*regionState
 	regionAggs   []*RegionProfile
+
+	// opBufs are each thread's two op buffers (Thread.ops and .spare),
+	// kept across runs and allocated by the first run that needs them;
+	// abandon drops them.
+	opBufs [][2][]Op
+	// noise draws each run's measurement noise (see applyNoise).
+	noise *rand.Rand
 }
 
 // NewEngine validates the configuration and builds the simulator.
@@ -123,9 +131,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 // the run ordinal (and with it the noise sub-seeds) and the op count
 // restart, the op budget, post-chunk hook, load observer, process,
 // barrier address and region tables are cleared, and the simulator is
-// reset but keeps its allocations. Its runs then match a fresh
-// engine's. After a failed Run, body goroutines may still be draining
-// into the engine (see abandon), so such an engine is not idle.
+// reset but keeps its allocations, as the engine keeps its op buffers
+// and noise generator. Its runs then match a fresh engine's. After a
+// failed Run, body goroutines may still be draining into the engine
+// (see abandon), so such an engine is not idle.
 func (e *Engine) Reseed(seed int64) {
 	e.cfg.Seed = seed
 	e.runs, e.opBudget, e.opCount = 0, 0, 0
@@ -201,6 +210,12 @@ func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 		e.regionStates[i] = &regionState{snap: counters.NewCounts()}
 	}
 
+	if e.opBufs == nil {
+		e.opBufs = make([][2][]Op, e.cfg.Threads)
+		for i := range e.opBufs {
+			e.opBufs[i] = [2][]Op{make([]Op, 0, e.chunkSize), make([]Op, 0, e.chunkSize)}
+		}
+	}
 	threads := make([]*threadInfo, e.cfg.Threads)
 	for i := range threads {
 		core := e.coreOf(i)
@@ -210,8 +225,8 @@ func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 			node:    e.cfg.Machine.NodeOfCore(core),
 			threads: e.cfg.Threads,
 			e:       e,
-			ops:     make([]Op, 0, e.chunkSize),
-			spare:   make([]Op, 0, e.chunkSize),
+			ops:     e.opBufs[i][0][:0],
+			spare:   e.opBufs[i][1][:0],
 			ch:      make(chan chunk),
 			reply:   make(chan ctlReply),
 		}
@@ -286,8 +301,11 @@ func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 // (the body's Alloc panics, which ends it), frees, moves and barriers
 // reply immediately, and plain chunks are discarded unsimulated. A body
 // that emits operations forever keeps its drainer goroutine alive;
-// callers bound that with a wall-clock timeout.
+// callers bound that with a wall-clock timeout. The drained bodies keep
+// filling their op buffers, so the engine drops them and the next run
+// allocates its own.
 func (e *Engine) abandon(threads []*threadInfo, cur *threadInfo, pending chunk) {
+	e.opBufs = nil
 	budgetErr := &BudgetError{Ops: e.opCount, Budget: e.opBudget}
 	drain := func(t *Thread, c chunk, havePending bool) {
 		for {

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"numaperf/internal/counters"
@@ -484,6 +486,45 @@ func TestOpBudgetDrainsParkedThreads(t *testing.T) {
 	})
 	if !errors.Is(err, ErrOpBudget) {
 		t.Fatalf("err = %v, want ErrOpBudget", err)
+	}
+}
+
+// TestAbandonedRunThenReuse runs again on an engine whose last run its
+// op budget stopped. The stopped body keeps emitting, drained in the
+// background, until the second run has returned, so the two runs must
+// not share op buffers: under -race a shared buffer is a reported race,
+// and without it a chunk overwritten mid-simulation shows in the counts.
+func TestAbandonedRunThenReuse(t *testing.T) {
+	e := newEngine(t, 1)
+	e.SetOpBudget(100)
+	var stop atomic.Bool
+	defer stop.Store(true)
+	stopped := make(chan struct{})
+	_, err := e.Run(func(t *Thread) {
+		defer close(stopped)
+		buf := t.Alloc(1 << 16)
+		for off := uint64(0); !stop.Load(); off = (off + 64) % buf.Size {
+			t.Store(buf.Addr(off))
+		}
+	})
+	if !errors.Is(err, ErrOpBudget) {
+		t.Fatalf("err = %v, want ErrOpBudget", err)
+	}
+	e.SetOpBudget(0)
+	got, err := e.Run(scanBody)
+	stop.Store(true)
+	<-stopped
+	if err != nil {
+		t.Fatalf("run after the budget abort: %v", err)
+	}
+	want, err := newEngine(t, 1).Run(scanBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Raw, want.Raw) || got.Cycles != want.Cycles {
+		t.Errorf("run after the budget abort counted %d loads, %d stores in %d cycles; a fresh engine %d, %d in %d",
+			got.Raw[counters.AllLoads], got.Raw[counters.AllStores], got.Cycles,
+			want.Raw[counters.AllLoads], want.Raw[counters.AllStores], want.Cycles)
 	}
 }
 

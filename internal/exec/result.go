@@ -58,7 +58,7 @@ func (e *Engine) collect() *Result {
 	for s := 0; s < m.Sockets; s++ {
 		res.Uncore[s] = e.sim.UncoreCounts(s).Clone()
 	}
-	res.Total = applyNoise(res.Raw, res.Seed, e.cfg.Noise)
+	res.Total = e.applyNoise(res.Raw, res.Seed)
 	return res
 }
 
@@ -66,13 +66,21 @@ func (e *Engine) collect() *Result {
 // variation does: multiplicative jitter on every event plus a small
 // additive background on the events the OS pollutes (cycles,
 // instructions, cache traffic from interrupt handlers). Disabled with
-// sigma < 0.
-func applyNoise(raw counters.Counts, seed int64, sigma float64) counters.Counts {
+// a negative Config.Noise. The draws come from the engine's generator
+// re-seeded with the run's sub-seed, the same numbers a new source
+// seeded alike would draw.
+func (e *Engine) applyNoise(raw counters.Counts, seed int64) counters.Counts {
 	out := raw.Clone()
+	sigma := e.cfg.Noise
 	if sigma < 0 {
 		return out
 	}
-	rng := rand.New(rand.NewSource(seed))
+	if e.noise == nil {
+		e.noise = rand.New(rand.NewSource(seed))
+	} else {
+		e.noise.Seed(seed)
+	}
+	rng := e.noise
 	for id := range out {
 		v := float64(out[id])
 		if v == 0 {

@@ -23,7 +23,8 @@ type Thread struct {
 	// engine is done with it: the engine simulates chunk N before
 	// receiving chunk N+1, so when a send completes the buffer sent
 	// before it is free again. Two buffers therefore cover the whole
-	// run, instead of one allocation per chunk.
+	// run, instead of one allocation per chunk, and the engine keeps
+	// them for its next run (Engine.opBufs).
 	spare []Op
 	ch    chan chunk
 	reply chan ctlReply

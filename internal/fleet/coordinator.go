@@ -602,7 +602,7 @@ type cellState struct {
 	status       cellStatus
 	attempts     int
 	notBefore    time.Time
-	backoff      *probenet.Backoff
+	backoff      *probenet.Backoff // built on the cell's first retry
 	hist         *memhist.Histogram
 	gapReason    string
 	redispatched bool
@@ -649,9 +649,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	results := make(chan outcome, n)
 	cells := make([]*cellState, n)
 	for i := range cells {
-		cells[i] = &cellState{
-			backoff: probenet.NewBackoff(c.opts.BackoffBase, c.opts.BackoffMax, c.opts.BackoffSeed+int64(i)),
-		}
+		cells[i] = &cellState{}
 	}
 	inflight := make(map[uint64]*dispatch)
 	inflightByProbe := make(map[string]int)
@@ -827,6 +825,9 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	fail := func(i int, now time.Time, cause error) error {
 		st := cells[i]
 		if st.attempts <= c.opts.MaxRetries {
+			if st.backoff == nil {
+				st.backoff = probenet.NewBackoff(c.opts.BackoffBase, c.opts.BackoffMax, c.opts.BackoffSeed+int64(i))
+			}
 			st.status = cellPending
 			st.notBefore = now.Add(st.backoff.Delay(st.attempts - 1))
 			st.redispatched = true

@@ -121,9 +121,11 @@ func TestHandleRequestLeavesNoPoolForBadRequests(t *testing.T) {
 
 // handleRequestAllocBudget caps the mean bytes one pooled probe cell
 // allocates (pointer-chase on uma). A cell on a fresh engine allocates
-// 10.6 MB, nearly all of it a whole L3; a re-seeded one 0.24 MB. A GC
-// that empties the pool once during the 20 measured cells costs one
-// rebuild, 0.53 MiB on the mean, so the budget tolerates it.
+// 10.6 MB, nearly all of it a whole L3; a re-seeded one 0.04 MiB, as
+// the engine keeps its op buffers and noise generator (0.24 MB while
+// runs rebuilt them). A GC that empties the pool once during the 20
+// measured cells costs one rebuild, 0.53 MiB on the mean, so the budget
+// tolerates it.
 const handleRequestAllocBudget = 2 << 20
 
 // raceEnabled is set in -race builds (race_test.go), whose sync.Pool

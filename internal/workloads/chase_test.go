@@ -99,6 +99,27 @@ func TestChaseBodiesMatchReference(t *testing.T) {
 	}
 }
 
+// TestSubLineMLCChasesLineZero: a buffer smaller than a cache line still
+// holds one line, so its chase loads the buffer's first line every hop,
+// as a one-line buffer's chase does.
+func TestSubLineMLCChasesLineZero(t *testing.T) {
+	m, _ := topology.ByName("2s")
+	got := traceChase(t, m, MLC{BufferBytes: 32, Chases: 10}.Body())
+	want := traceChase(t, m, MLC{BufferBytes: 64, Chases: 10}.Body())
+	if len(got.loads) != 10 {
+		t.Fatalf("%d loads retired, want 10", len(got.loads))
+	}
+	first := want.loads[0].vaddr
+	for i, l := range got.loads {
+		if l != want.loads[i] || l.vaddr != first {
+			t.Fatalf("load %d is %+v, want %+v on the buffer's first line %#x", i, l, want.loads[i], first)
+		}
+	}
+	if !reflect.DeepEqual(got.res.Raw, want.res.Raw) {
+		t.Error("Raw differs from the one-line buffer's")
+	}
+}
+
 // FuzzChaseOrder holds sattoloWalk, with no engine, to the next-array
 // chase it replaces: for any line count, hop count and seed it visits
 // the same lines in the same order.
@@ -125,10 +146,10 @@ func FuzzChaseOrder(f *testing.F) {
 }
 
 // chaseRunAllowance bounds what one re-seeded engine run allocates
-// besides the chase's permutation: the thread's two op buffers (2·4096
-// ops of 16 B), the process's page table and the result. Measured on
-// go1.24, plain and under -race: 178 KiB for the MLC run below on dl580,
-// 143 KiB for the PointerChase run on uma. The permutation is 512 KiB
+// besides the chase's permutation: the process's page table and the
+// result (the engine keeps its op buffers across runs). Measured on
+// go1.24, plain and under -race: 44 KiB for the MLC run below on dl580,
+// 10 KiB for the PointerChase run on uma. The permutation is 512 KiB
 // in both, so a second per-line host array, such as the next array of a
 // host-side pointer chase, breaks the budget.
 const chaseRunAllowance = 384 << 10

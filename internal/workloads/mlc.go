@@ -49,6 +49,7 @@ func (m MLC) chases() int {
 // pointers through a Sattolo-shuffled permutation cycle.
 func (m MLC) Body() func(*exec.Thread) {
 	size := m.bufferBytes()
+	lines := max(size/64, 1) // a buffer smaller than a line still holds one
 	chases := m.chases()
 	remote := m.Remote
 	remoteNode := m.RemoteNode
@@ -74,7 +75,7 @@ func (m MLC) Body() func(*exec.Thread) {
 		}
 
 		t.Begin("chase")
-		sattoloWalk(size/64, 12345, chases, func(line uint64) {
+		sattoloWalk(lines, 12345, chases, func(line uint64) {
 			t.LoadDep(buf.Addr(line * 64))
 			t.Instr(1) // pointer dereference bookkeeping
 		})
