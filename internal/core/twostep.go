@@ -111,18 +111,23 @@ func CollectTrainingParallel(params []float64, reps, workers int,
 	return out, nil
 }
 
-// collectParam measures one parameter value: a fresh engine, reps runs.
+// collectParam measures one parameter value: a fresh engine, reps runs,
+// of which the first is simulated and the rest re-draw its noise
+// (exec.Engine.Repeat).
 func collectParam(p float64, reps int,
 	mk func(param float64) (*exec.Engine, func(*exec.Thread), error)) ([]TrainingPoint, error) {
 	e, body, err := mk(p)
 	if err != nil {
 		return nil, fmt.Errorf("core: engine for param %g: %w", p, err)
 	}
+	res, err := e.Run(body)
+	if err != nil {
+		return nil, fmt.Errorf("core: run at param %g: %w", p, err)
+	}
 	out := make([]TrainingPoint, 0, reps)
 	for r := 0; r < reps; r++ {
-		res, err := e.Run(body)
-		if err != nil {
-			return nil, fmt.Errorf("core: run at param %g: %w", p, err)
+		if r > 0 {
+			res = e.Repeat(res)
 		}
 		out = append(out, TrainingPoint{
 			Param:  p,

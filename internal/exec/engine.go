@@ -77,18 +77,18 @@ func (e *BudgetError) Unwrap() error { return ErrOpBudget }
 
 // Engine executes workload bodies on a simulated machine.
 type Engine struct {
-	cfg         Config
-	sim         *memsim.Sim
-	proc        *oslite.Process
-	chunkSize   int
-	barrierAddr uint64
-	runs        int64
-	hook        func()
-	opBudget    uint64
-	opCount     uint64
+	cfg       Config
+	sim       *memsim.Sim
+	proc      *oslite.Process
+	chunkSize int
+	runs      int64
+	hook      func()
+	opBudget  uint64
+	opCount   uint64
 
-	// Per-run region attribution (see regions.go).
-	regions      *regionTable
+	// Per-run region attribution (see regions.go). The run's region
+	// table belongs to its threads, so a body still draining after a
+	// budget abort never touches the next run's.
 	regionStates []*regionState
 	regionAggs   []*RegionProfile
 
@@ -129,20 +129,20 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Reseed returns an idle engine, one whose last Run returned nil, to
 // the state NewEngine builds for its configuration with the given seed:
 // the run ordinal (and with it the noise sub-seeds) and the op count
-// restart, the op budget, post-chunk hook, load observer, process,
-// barrier address and region tables are cleared, and the simulator is
-// reset but keeps its allocations, as the engine keeps its op buffers
-// and noise generator. Its runs then match a fresh engine's. After a
-// failed Run, body goroutines may still be draining into the engine
-// (see abandon), so such an engine is not idle.
+// restart, the op budget, post-chunk hook, load observer, process and
+// region attribution are cleared, and the simulator is reset but keeps
+// its allocations, as the engine keeps its op buffers and noise
+// generator. Its runs then match a fresh engine's. After a failed Run,
+// body goroutines may still be draining into the engine (see abandon),
+// so such an engine is not idle.
 func (e *Engine) Reseed(seed int64) {
 	e.cfg.Seed = seed
 	e.runs, e.opBudget, e.opCount = 0, 0, 0
 	e.hook = nil
 	e.sim.SetLoadObserver(nil)
 	e.sim.Reset()
-	e.proc, e.barrierAddr = nil, 0
-	e.regions, e.regionStates, e.regionAggs = nil, nil, nil
+	e.proc = nil
+	e.regionStates, e.regionAggs = nil, nil
 }
 
 // Sim exposes the underlying simulator (the perf layer reads counters
@@ -189,7 +189,8 @@ func (e *Engine) coreOf(tid int) int {
 // counters. Run can be called repeatedly; each run starts from cold
 // caches and a fresh address space and uses a distinct noise sub-seed,
 // which is what makes repeated runs statistically meaningful for
-// EvSel's t-tests.
+// EvSel's t-tests. Repeat returns the next run of the same body without
+// simulating it again.
 func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 	e.runs++
 	e.opCount = 0
@@ -202,8 +203,7 @@ func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	e.barrierAddr = syncBuf.Base
-	e.regions = newRegionTable()
+	regions := newRegionTable()
 	e.regionAggs = nil
 	e.regionStates = make([]*regionState, e.cfg.Threads)
 	for i := range e.regionStates {
@@ -220,15 +220,17 @@ func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 	for i := range threads {
 		core := e.coreOf(i)
 		t := &Thread{
-			id:      i,
-			core:    core,
-			node:    e.cfg.Machine.NodeOfCore(core),
-			threads: e.cfg.Threads,
-			e:       e,
-			ops:     e.opBufs[i][0][:0],
-			spare:   e.opBufs[i][1][:0],
-			ch:      make(chan chunk),
-			reply:   make(chan ctlReply),
+			id:          i,
+			core:        core,
+			node:        e.cfg.Machine.NodeOfCore(core),
+			threads:     e.cfg.Threads,
+			e:           e,
+			regions:     regions,
+			barrierAddr: syncBuf.Base,
+			ops:         e.opBufs[i][0][:0],
+			spare:       e.opBufs[i][1][:0],
+			ch:          make(chan chunk),
+			reply:       make(chan ctlReply),
 		}
 		threads[i] = &threadInfo{t: t}
 		go func(t *Thread) {
@@ -289,11 +291,29 @@ func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	regions := e.collectRegions(threads)
+	profiles := e.collectRegions(threads, regions)
 	e.sim.Finalize()
 	res = e.collect()
-	res.Regions = regions
+	res.Regions = profiles
 	return res, nil
+}
+
+// Repeat returns what one more Run of the body that produced prev would
+// return, without simulating it. A body emits the same operations on
+// every run (see the package doc), so a run differs from the one
+// before it only in its noise: Repeat advances the run ordinal, takes
+// the next sub-seed as Seed and draws Total from prev.Raw with it. The
+// exact fields (Raw, PerCore, Uncore, Cycles, Seconds, Footprint,
+// Regions) are prev's own, shared and read-only. No chunk is
+// simulated, so neither the post-chunk hook nor the load observer
+// fires, and Proc still returns the last simulated run's process. prev
+// must come from this engine's Run or Repeat since its last Reseed.
+func (e *Engine) Repeat(prev *Result) *Result {
+	e.runs++
+	res := *prev
+	res.Seed = e.cfg.Seed + e.runs
+	res.Total = e.applyNoise(prev.Raw, res.Seed)
+	return &res
 }
 
 // abandon drains every unfinished thread in the background after a

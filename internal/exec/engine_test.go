@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -526,6 +527,65 @@ func TestAbandonedRunThenReuse(t *testing.T) {
 			got.Raw[counters.AllLoads], got.Raw[counters.AllStores], got.Cycles,
 			want.Raw[counters.AllLoads], want.Raw[counters.AllStores], want.Cycles)
 	}
+}
+
+// TestAbandonedRegionsThenReuse is TestAbandonedRunThenReuse for the
+// rest of a run's state that its body reads: the stopped body keeps
+// opening regions and meeting barriers until the second run has
+// returned, so it must intern its names in its own run's table and read
+// its own run's barrier address. Under -race a shared table or address
+// is a reported race; the second run's regions must be a fresh
+// engine's.
+func TestAbandonedRegionsThenReuse(t *testing.T) {
+	e := newEngine(t, 1)
+	e.SetOpBudget(100)
+	var stop atomic.Bool
+	defer stop.Store(true)
+	stopped := make(chan struct{})
+	_, err := e.Run(func(t *Thread) {
+		defer close(stopped)
+		for !stop.Load() {
+			t.Begin("stale")
+			t.Instr(1)
+			t.End()
+			t.Barrier()
+		}
+	})
+	if !errors.Is(err, ErrOpBudget) {
+		t.Fatalf("err = %v, want ErrOpBudget", err)
+	}
+	body := func(t *Thread) {
+		buf := t.Alloc(16 << 10)
+		t.Begin("scan")
+		for off := uint64(0); off < buf.Size; off += 64 {
+			t.Load(buf.Addr(off))
+		}
+		t.End()
+		t.Barrier()
+	}
+	e.SetOpBudget(0)
+	got, err := e.Run(body)
+	stop.Store(true)
+	<-stopped
+	if err != nil {
+		t.Fatalf("run after the budget abort: %v", err)
+	}
+	want, err := newEngine(t, 1).Run(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Regions, want.Regions) {
+		t.Errorf("run after the budget abort has regions %v, a fresh engine %v", regionNames(got), regionNames(want))
+	}
+}
+
+func regionNames(r *Result) []string {
+	var out []string
+	for name := range r.Regions {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestOpBudgetZeroMeansUnlimited(t *testing.T) {

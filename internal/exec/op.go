@@ -5,6 +5,13 @@
 // core. Threads run as goroutines but the engine consumes their
 // operation chunks in deterministic round-robin order, so a given
 // (workload, machine, seed) triple always produces identical counters.
+//
+// A body must emit the same operations on every run. The seed then
+// drives only the measurement noise, and a run's exact counters depend
+// on the body and the configuration alone, so Engine.Repeat can stand
+// for one more run of a body by re-drawing only its noise. Every
+// registered workload keeps this contract; a body that changes with
+// each call (captured state, a counter, a random source) breaks it.
 package exec
 
 // OpKind discriminates the operations a thread can emit.

@@ -49,9 +49,6 @@ func (rt *regionTable) intern(name string) int {
 	return id
 }
 
-// internRegion interns a region name for the current run.
-func (e *Engine) internRegion(name string) int { return e.regions.intern(name) }
-
 // regionState tracks attribution for one thread.
 type regionState struct {
 	stack     []int
@@ -98,9 +95,10 @@ func (e *Engine) handleRegionOp(t *Thread, op Op) {
 	}
 }
 
-// collectRegions converts the per-run attribution into the Result map.
-// It returns nil when no thread used regions.
-func (e *Engine) collectRegions(threads []*threadInfo) map[string]*RegionProfile {
+// collectRegions converts the per-run attribution into the Result map,
+// naming regions from the run's table. It returns nil when no thread
+// used regions.
+func (e *Engine) collectRegions(threads []*threadInfo, regions *regionTable) map[string]*RegionProfile {
 	used := false
 	for _, ti := range threads {
 		rs := e.regionStates[ti.t.id]
@@ -126,7 +124,7 @@ func (e *Engine) collectRegions(threads []*threadInfo) map[string]*RegionProfile
 			}
 		}
 		if nonZero {
-			out[e.regions.names[id]] = agg
+			out[regions.names[id]] = agg
 		}
 	}
 	return out

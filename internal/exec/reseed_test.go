@@ -54,7 +54,9 @@ func regionBody(t *exec.Thread) {
 // field for field, that of a NewEngine built for the same config and
 // seed. A set bit 1 in the third byte installs a post-chunk hook, a load
 // observer and a one-op budget before the Reseed, which must clear all
-// three.
+// three. Bits 2 and 3 of the third byte ask for that many Repeats of the
+// run and then one more Run, each of which must equal the fresh
+// engine's next Run.
 func FuzzEngineReseed(f *testing.F) {
 	// The first byte of a run is 5·machine + workload, machines in
 	// topology.MachineNames order: dl580, 2s, 8s, uma.
@@ -62,6 +64,7 @@ func FuzzEngineReseed(f *testing.F) {
 	f.Add([]byte{5, 7, 1, 6, 7, 1, 7, 9, 1, 8, 9, 3, 9, 2, 1, 5, 7, 1})       // every workload on one 2s engine at 2 threads
 	f.Add([]byte{0, 4, 0, 4, 5, 1, 2, 6, 0, 3, 2, 1, 1, 4, 2})                // dl580 at 1 and 2 threads, interleaved
 	f.Add([]byte{10, 1, 1, 14, 1, 1, 19, 9, 0, 17, 3, 0, 12, 1, 3, 18, 5, 1}) // 8s and uma
+	f.Add([]byte{15, 1, 4, 9, 2, 13, 0, 3, 8, 17, 1, 14})                     // Repeats on three machines, then on the re-seeded uma engine
 	f.Fuzz(func(t *testing.T, in []byte) {
 		machines := topology.MachineNames()
 		type key struct {
@@ -131,6 +134,21 @@ func FuzzEngineReseed(f *testing.F) {
 				if !reflect.DeepEqual(f.got, f.want) {
 					t.Fatalf("run %d (%s on %s, %d threads, seed %d): reused engine's %s differs from a fresh engine's",
 						i/3, w.name, k.machine, threads, seed, f.name)
+				}
+			}
+			repeats := int(in[i+2]>>2) & 3
+			for j := 1; repeats > 0 && j <= repeats+1; j++ {
+				if j <= repeats {
+					got = e.Repeat(got)
+				} else if got, err = e.Run(w.body); err != nil {
+					t.Fatal(err)
+				}
+				if want, err = fresh.Run(w.body); err != nil {
+					t.Fatal(err)
+				}
+				if f := differingField(got, want); f != "" {
+					t.Fatalf("run %d (%s on %s, %d threads, seed %d): the %s %d steps after it differs from a fresh engine's next run in %s",
+						i/3, w.name, k.machine, threads, seed, kind(j, repeats), j, f)
 				}
 			}
 		}

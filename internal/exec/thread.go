@@ -18,7 +18,12 @@ type Thread struct {
 	node    int
 	threads int
 	e       *Engine
-	ops     []Op
+	// regions and barrierAddr are the run's own: a body a budget abort
+	// left draining keeps using them while the engine's next run builds
+	// its own.
+	regions     *regionTable
+	barrierAddr uint64
+	ops         []Op
 	// spare is the previously sent chunk's buffer, recycled once the
 	// engine is done with it: the engine simulates chunk N before
 	// receiving chunk N+1, so when a send completes the buffer sent
@@ -134,8 +139,8 @@ func (t *Thread) MovePages(buf Buffer, node int) {
 // load), which is what makes synchronisation visible in the counters.
 func (t *Thread) Barrier() {
 	// Synchronisation traffic on a team-shared line.
-	t.Atomic(t.e.barrierAddr)
-	t.Load(t.e.barrierAddr + 64)
+	t.Atomic(t.barrierAddr)
+	t.Load(t.barrierAddr + 64)
 	t.control(chunk{ctl: ctlBarrier})
 }
 
@@ -144,8 +149,7 @@ func (t *Thread) Barrier() {
 // events always belong to the innermost open region. This is the
 // event-to-code-location mapping the paper's outlook calls for.
 func (t *Thread) Begin(name string) {
-	id := t.e.internRegion(name)
-	t.emit(Op{Arg: uint64(id), Kind: OpRegionBegin})
+	t.emit(Op{Arg: uint64(t.regions.intern(name)), Kind: OpRegionBegin})
 }
 
 // End leaves the innermost open region.

@@ -331,11 +331,14 @@ func AblationGamma(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	wl := workloads.Triad{Elements: pick(cfg, 8192, 65536)}
+	res, err := e.Run(wl.Body())
+	if err != nil {
+		return nil, err
+	}
 	var cycles []float64
 	for i := 0; i < runs; i++ {
-		res, err := e.Run(wl.Body())
-		if err != nil {
-			return nil, err
+		if i > 0 {
+			res = e.Repeat(res)
 		}
 		cycles = append(cycles, float64(res.Total.Get(counters.CPUCycles)))
 	}

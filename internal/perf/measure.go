@@ -60,7 +60,10 @@ const MuxQuantumCycles = 250_000
 type Measurement struct {
 	// Samples maps each requested event to one value per repetition.
 	Samples map[counters.EventID][]float64
-	// Runs is the number of program executions consumed.
+	// Runs is the number of program executions the method takes:
+	// reps × batches when batched, reps otherwise. Measure simulates one
+	// of them and draws the others from it (exec.Engine.Repeat); a
+	// campaign simulates every run it counts.
 	Runs int
 	// Batches is the number of register batches per repetition.
 	Batches int
@@ -70,10 +73,11 @@ type Measurement struct {
 	Reps int
 	// Mode records how the measurement was taken.
 	Mode Mode
-	// Partial marks a measurement assembled from an incomplete
-	// campaign: some events carry fewer than Reps samples (failed runs,
-	// quarantined values). Consumers annotate rather than assume
-	// completeness.
+	// Partial marks a measurement in which some events carry fewer
+	// than Reps samples: an incomplete campaign's (failed runs,
+	// quarantined values), or a multiplexed one whose run was too short
+	// to give every event group a quantum. Consumers annotate rather
+	// than assume completeness.
 	Partial bool
 }
 
@@ -219,7 +223,11 @@ func RunVisible(e *exec.Engine, body func(*exec.Thread), visible []counters.Even
 
 // Measure runs the body under the engine repeatedly and collects `reps`
 // samples for every requested event, honouring the machine's PMU
-// register budget according to the mode.
+// register budget according to the mode. The body must emit the same
+// operations on every run, as every registered workload does (see the
+// exec package doc): Measure simulates it once and takes every further
+// run from exec.Engine.Repeat, which re-draws only the noise. The
+// samples equal those of simulating every run.
 func Measure(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, reps int, mode Mode) (*Measurement, error) {
 	if reps <= 0 {
 		return nil, errors.New("perf: need at least one repetition")
@@ -227,13 +235,19 @@ func Measure(e *exec.Engine, body func(*exec.Thread), events []counters.EventID,
 	if len(events) == 0 {
 		return nil, errors.New("perf: no events requested")
 	}
+	m := &Measurement{Samples: make(map[counters.EventID][]float64, len(events)), Mode: mode, Reps: reps}
 	switch mode {
 	case Batched:
-		return measureBatched(e, body, events, reps)
+		plan := PlanBatches(e, events)
+		batches := make([][]counters.EventID, plan.Batches())
+		for b := range batches {
+			batches[b] = plan.Visible(b)
+		}
+		return measureRepeated(e, body, batches, m)
 	case Multiplexed:
-		return measureMultiplexed(e, body, events, reps)
+		return measureMultiplexed(e, body, events, m)
 	case Unlimited:
-		return measureUnlimited(e, body, events, reps)
+		return measureRepeated(e, body, [][]counters.EventID{events}, m)
 	default:
 		return nil, fmt.Errorf("perf: unknown mode %v", mode)
 	}
@@ -248,45 +262,40 @@ func MeasureAll(e *exec.Engine, body func(*exec.Thread), reps int, mode Mode) (*
 	return Measure(e, body, all, reps, mode)
 }
 
-func measureUnlimited(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, reps int) (*Measurement, error) {
-	m := &Measurement{Samples: make(map[counters.EventID][]float64, len(events)), Mode: Unlimited, Batches: 1, Reps: reps}
-	for r := 0; r < reps; r++ {
-		res, err := e.Run(body)
-		if err != nil {
-			return nil, err
-		}
-		m.Runs++
-		for _, id := range events {
-			m.Samples[id] = append(m.Samples[id], float64(res.Total.Get(id)))
-		}
+// measureRepeated takes m.Reps repetitions of one run per batch and
+// reads batch b's events from run b of each (Unlimited is one batch of
+// every event). The body is simulated once; every further run re-draws
+// its noise (exec.Engine.Repeat).
+func measureRepeated(e *exec.Engine, body func(*exec.Thread), batches [][]counters.EventID, m *Measurement) (*Measurement, error) {
+	res, err := e.Run(body)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
-}
-
-func measureBatched(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, reps int) (*Measurement, error) {
-	plan := PlanBatches(e, events)
-	nBatches := plan.Batches()
-	m := &Measurement{Samples: make(map[counters.EventID][]float64, len(events)), Mode: Batched, Batches: nBatches, Reps: reps}
-	for r := 0; r < reps; r++ {
-		for b := 0; b < nBatches; b++ {
-			samples, err := RunVisible(e, body, plan.Visible(b))
-			if err != nil {
-				return nil, err
+	m.Batches = len(batches)
+	for r := 0; r < m.Reps; r++ {
+		for _, visible := range batches {
+			if m.Runs > 0 {
+				res = e.Repeat(res)
 			}
 			m.Runs++
-			for _, id := range plan.Visible(b) {
-				m.Samples[id] = append(m.Samples[id], samples[id])
+			for _, id := range visible {
+				m.Samples[id] = append(m.Samples[id], float64(res.Total.Get(id)))
 			}
 		}
 	}
 	return m, nil
 }
 
-// measureMultiplexed rotates event groups during each run using the
+// measureMultiplexed rotates event groups during a run using the
 // engine's post-chunk hook, attributing counter deltas to the group
 // active in each quantum and scaling by the duty cycle at the end —
-// perf's default behaviour when events exceed registers.
-func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, reps int) (*Measurement, error) {
+// perf's default behaviour when events exceed registers. The rotation
+// follows the exact counters, so it is the same in every repetition:
+// it runs once, and each repetition reuses its group samples and reads
+// the fixed events from its own run (exec.Engine.Repeat). An event whose
+// group never got a quantum keeps its key but has no sample, so
+// Coverage reports the gap.
+func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, m *Measurement) (*Measurement, error) {
 	fixed, core, uncore := splitByDomain(events)
 	k := e.Config().Machine.PMU.ProgrammableCounters
 	groups := batchesOf(core, k)
@@ -299,70 +308,85 @@ func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counte
 	if nGroups == 0 {
 		nGroups = 1
 	}
-	m := &Measurement{Samples: make(map[counters.EventID][]float64, len(events)), Mode: Multiplexed, Batches: nGroups, Reps: reps}
+	m.Batches = nGroups
 
-	for r := 0; r < reps; r++ {
-		acc := make([]float64, counters.NumEvents) // per-event accumulated counts while visible
-		quanta := make([]uint64, nGroups)          // quanta observed per group
-		last := counters.NewCounts()               // counter snapshot at last rotation
-		var lastCycle uint64                       // cycle at last rotation
-		group := 0                                 // active group
-		sim := e.Sim()
+	acc := make([]float64, counters.NumEvents) // per-event accumulated counts while visible
+	quanta := make([]uint64, nGroups)          // quanta observed per group
+	last := counters.NewCounts()               // counter snapshot at last rotation
+	var lastCycle uint64                       // cycle at last rotation
+	group := 0                                 // active group
+	sim := e.Sim()
 
-		rotate := func() {
-			now := sim.TotalCounts()
-			cyc := sim.MaxCycles()
-			if cyc <= lastCycle {
-				return
-			}
-			attr := func(ids []counters.EventID) {
-				for _, id := range ids {
-					acc[id] += float64(now.Get(id) - last.Get(id))
-				}
-			}
-			if group < len(groups) {
-				attr(groups[group])
-			}
-			if group < len(ugroups) {
-				attr(ugroups[group])
-			}
-			quanta[group]++
-			last = now
-			lastCycle = cyc
-			group = (group + 1) % nGroups
+	rotate := func() {
+		now := sim.TotalCounts()
+		cyc := sim.MaxCycles()
+		if cyc <= lastCycle {
+			return
 		}
-		e.SetPostChunkHook(func() {
-			if sim.MaxCycles()-lastCycle >= MuxQuantumCycles {
-				rotate()
+		attr := func(ids []counters.EventID) {
+			for _, id := range ids {
+				acc[id] += float64(now.Get(id) - last.Get(id))
 			}
-		})
-		res, err := e.Run(body)
-		e.SetPostChunkHook(nil)
-		if err != nil {
-			return nil, err
 		}
-		rotate() // close the final quantum
+		if group < len(groups) {
+			attr(groups[group])
+		}
+		if group < len(ugroups) {
+			attr(ugroups[group])
+		}
+		quanta[group]++
+		last = now
+		lastCycle = cyc
+		group = (group + 1) % nGroups
+	}
+	e.SetPostChunkHook(func() {
+		if sim.MaxCycles()-lastCycle >= MuxQuantumCycles {
+			rotate()
+		}
+	})
+	res, err := e.Run(body)
+	e.SetPostChunkHook(nil)
+	if err != nil {
+		return nil, err
+	}
+	rotate() // close the final quantum
+
+	var totalQuanta uint64
+	for _, q := range quanta {
+		totalQuanta += q
+	}
+	type sample struct {
+		id counters.EventID
+		v  float64
+	}
+	var muxed []sample
+	for gi := 0; gi < nGroups; gi++ {
+		var ids []counters.EventID
+		if gi < len(groups) {
+			ids = append(ids, groups[gi]...)
+		}
+		if gi < len(ugroups) {
+			ids = append(ids, ugroups[gi]...)
+		}
+		if quanta[gi] == 0 {
+			for _, id := range ids {
+				m.Samples[id] = nil
+				m.Partial = true
+			}
+			continue
+		}
+		scale := float64(totalQuanta) / float64(quanta[gi])
+		for _, id := range ids {
+			muxed = append(muxed, sample{id, acc[id] * scale})
+		}
+	}
+	for r := 0; r < m.Reps; r++ {
+		if r > 0 {
+			res = e.Repeat(res)
+		}
 		m.Runs++
-
-		var totalQuanta uint64
-		for _, q := range quanta {
-			totalQuanta += q
-		}
-		for gi := 0; gi < nGroups; gi++ {
-			scale := 1.0
-			if quanta[gi] > 0 {
-				scale = float64(totalQuanta) / float64(quanta[gi])
-			}
-			if gi < len(groups) {
-				for _, id := range groups[gi] {
-					m.Samples[id] = append(m.Samples[id], acc[id]*scale)
-				}
-			}
-			if gi < len(ugroups) {
-				for _, id := range ugroups[gi] {
-					m.Samples[id] = append(m.Samples[id], acc[id]*scale)
-				}
-			}
+		for _, s := range muxed {
+			m.Samples[s.id] = append(m.Samples[s.id], s.v)
 		}
 		for _, id := range fixed {
 			m.Samples[id] = append(m.Samples[id], float64(res.Total.Get(id)))

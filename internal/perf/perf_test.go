@@ -466,3 +466,56 @@ func TestCoverage(t *testing.T) {
 		t.Errorf("legacy (reps unknown) coverage = %g", got)
 	}
 }
+
+// TestMultiplexedUnscheduledGroupHasNoSample: a 16 KiB scan on 2s is
+// shorter than one multiplexing quantum, so of 9 core events on 4
+// registers only the first group is ever counted. The other groups'
+// events keep their keys but get no sample, where they used to read 0,
+// so Coverage reports the gap, and the measurement is partial.
+// Unlimited mode shows what a 0 would have hidden.
+func TestMultiplexedUnscheduledGroupHasNoSample(t *testing.T) {
+	body := func(t *exec.Thread) {
+		buf := t.Alloc(16 << 10)
+		for off := uint64(0); off < buf.Size; off += 4 {
+			t.Load(buf.Addr(off))
+		}
+	}
+	events := []counters.EventID{
+		counters.AllLoads, counters.L1Hit, counters.L1Miss, counters.L2Hit, // the only group counted
+		counters.L2Miss, counters.L3Hit, counters.L3Miss, counters.BranchRetired,
+		counters.L2PFRequests,
+	}
+	const reps = 3
+	m, err := Measure(testEngine(t), body, events, reps, Multiplexed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := Measure(testEngine(t), body, events, reps, Unlimited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Batches != 3 || m.Runs != reps {
+		t.Fatalf("%d groups in %d runs, want 3 in %d", m.Batches, m.Runs, reps)
+	}
+	for i, id := range events {
+		name := counters.Def(id).Name
+		s, ok := m.Samples[id]
+		switch {
+		case !ok:
+			t.Errorf("%s: no key in Samples", name)
+		case i < 4 && (len(s) != reps || m.Coverage(id) != 1):
+			t.Errorf("%s: counted group has %d samples, coverage %g; want %d, 1", name, len(s), m.Coverage(id), reps)
+		case i >= 4 && (len(s) != 0 || m.Coverage(id) != 0):
+			t.Errorf("%s: group without a quantum has samples %v, coverage %g; want none, 0", name, s, m.Coverage(id))
+		}
+	}
+	if !m.Partial {
+		t.Error("a measurement with uncounted groups is not marked partial")
+	}
+	for _, id := range []counters.EventID{counters.L2Miss, counters.L3Miss, counters.BranchRetired, counters.L2PFRequests} {
+		t.Logf("%s: unlimited mean %g", counters.Def(id).Name, truth.Mean(id))
+		if truth.Mean(id) == 0 {
+			t.Errorf("%s: unlimited mode counts 0, so a 0 sample would not be wrong here", counters.Def(id).Name)
+		}
+	}
+}

@@ -33,7 +33,8 @@ type PlacementResult struct {
 
 // ComparePlacements runs the workload under every combination of page
 // policy (first-touch, interleave, bind-0) and thread mapping (compact,
-// scatter), repeating each configuration reps times, and returns the
+// scatter), repeating each configuration reps times (one simulated run,
+// the others drawn from it by exec.Engine.Repeat), and returns the
 // results ordered fastest first with speedups relative to the slowest.
 func (s *Session) ComparePlacements(w Workload, reps int) ([]PlacementResult, error) {
 	if reps <= 0 {
@@ -67,6 +68,7 @@ func (s *Session) ComparePlacements(w Workload, reps int) ([]PlacementResult, er
 		}
 	}
 
+	body := w.Body()
 	var out []PlacementResult
 	for _, v := range variants {
 		cfg := s.cfg
@@ -77,11 +79,14 @@ func (s *Session) ComparePlacements(w Workload, reps int) ([]PlacementResult, er
 		if err != nil {
 			return nil, err
 		}
+		res, err := e.Run(body)
+		if err != nil {
+			return nil, fmt.Errorf("numaperf: %s/%s: %w", v.name, v.mapName, err)
+		}
 		var cycles, seconds, local, qpi float64
 		for r := 0; r < reps; r++ {
-			res, err := e.Run(w.Body())
-			if err != nil {
-				return nil, fmt.Errorf("numaperf: %s/%s: %w", v.name, v.mapName, err)
+			if r > 0 {
+				res = e.Repeat(res)
 			}
 			cycles += float64(res.Cycles)
 			seconds += res.Seconds
