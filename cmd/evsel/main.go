@@ -318,8 +318,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, id := range m.Events() {
 		samples := m.Samples[id]
 		mean := m.Mean(id)
-		if mean == 0 {
-			continue
+		if mean == 0 && m.Coverage(id) >= 1 {
+			continue // never fired; an event with gaps stays listed
 		}
 		cv := coefficientOfVariation(samples, mean)
 		cover := ""

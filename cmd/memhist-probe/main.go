@@ -55,12 +55,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("memhist-probe", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listen        = fs.String("listen", "127.0.0.1:9844", "TCP address to listen on")
-		maxConns      = fs.Int("max-conns", 16, "concurrent connections before rejecting with 'overloaded'")
-		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight measurements on shutdown")
-		maxInflight   = fs.Int("max-inflight", 0, "concurrent measurements before queueing/shedding requests (0 = unlimited)")
-		queueBudget   = fs.Int("queue-budget", 0, "requests allowed to wait for a measurement slot (with -max-inflight)")
-		brownoutAfter = fs.Int("brownout-after", 0, "sheds in one pressure episode before serving reduced-fidelity histograms (0 = never)")
+		listen       = fs.String("listen", "127.0.0.1:9844", "TCP address to listen on")
+		maxConns     = fs.Int("max-conns", 16, "concurrent connections before rejecting with 'overloaded'")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight measurements on shutdown")
 
 		coordinator = fs.String("fleet-coordinator", "", "fleet coordinator address; when set, dial and serve campaign cells instead of listening")
 		probeID     = fs.String("probe-id", "", "probe identity for fleet registration (default: host name)")
@@ -75,14 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "memhist-probe: reconnect backoff durations must not be negative")
 		return 2
 	}
-	if *maxInflight < 0 || *queueBudget < 0 || *brownoutAfter < 0 {
-		fmt.Fprintln(stderr, "memhist-probe: admission limits must not be negative")
-		return 2
-	}
-	if *maxInflight == 0 && (*queueBudget > 0 || *brownoutAfter > 0) {
-		fmt.Fprintln(stderr, "memhist-probe: -queue-budget and -brownout-after need -max-inflight > 0")
-		return 2
-	}
 
 	if *coordinator != "" {
 		return runFleetAgent(ctx, *coordinator, *probeID, *heartbeat, *reconnBase, *reconnMax, stdout, stderr)
@@ -94,10 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	srv := &memhist.ProbeServer{
-		MaxConns:      *maxConns,
-		MaxInflight:   *maxInflight,
-		QueueBudget:   *queueBudget,
-		BrownoutAfter: *brownoutAfter,
+		MaxConns: *maxConns,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		},
@@ -128,12 +114,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if stats.SamplesDropped > 0 || stats.ThrottledCycles > 0 || stats.LowCoverageServed > 0 {
 			fmt.Fprintf(stdout, "memhist-probe: fidelity: %d samples dropped, %d cycles throttled, %d low-coverage responses\n",
 				stats.SamplesDropped, stats.ThrottledCycles, stats.LowCoverageServed)
-		}
-		// Overload summary, only when admission control actually acted:
-		// the drain output of an unpressured probe is unchanged.
-		if stats.ShedOverload > 0 || stats.QueuedRequests > 0 || stats.BrownoutEntered > 0 {
-			fmt.Fprintf(stdout, "memhist-probe: overload: %d requests shed, %d queued, %d brownout(s) entered, %d brownout responses\n",
-				stats.ShedOverload, stats.QueuedRequests, stats.BrownoutEntered, stats.BrownoutServed)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "memhist-probe: drain timeout exceeded, connections force-closed: %v\n", err)

@@ -11,7 +11,6 @@
 //	memhist -workload sift -threads 8 -machine dl580
 //	memhist -workload mlc-remote -remote host:9844
 //	memhist -workload sift -remote host:9844 -retries 3 -fallback-local
-//	memhist -workload sift -remote host:9844 -retries 3 -breaker-threshold 3
 //	memhist -workload mlc-local -adaptive -strict -min-coverage 0.5
 //
 // The flags build one probe request, which is measured in process by
@@ -61,9 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retries  = fs.Int("retries", 0, "extra attempts after transient probe failures")
 		fallback = fs.Bool("fallback-local", false, "measure locally if the probe stays unreachable")
 		probeTO  = fs.Duration("probe-timeout", 5*time.Minute, "per-attempt probe deadline")
-		brkAfter = fs.Int("breaker-threshold", 0, "consecutive probe failures before the circuit breaker opens (0 = no breaker)")
-		brkCool  = fs.Duration("breaker-cooldown", 0, "circuit breaker cooldown before a half-open trial (0 = default)")
-		brkMax   = fs.Duration("breaker-max-cooldown", 0, "circuit breaker cooldown cap under repeated failed trials (0 = default)")
 		boundCSV = fs.String("bounds", "", "comma-separated latency thresholds in cycles")
 		slice    = fs.Uint64("slice", 0, "threshold-cycling slice in cycles (0 = 100 Hz)")
 		reps     = fs.Int("reps", 1, "cycled runs to average")
@@ -131,20 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *remote == "" {
 		h, err = memhist.HandleRequest(req)
 	} else {
-		var breaker *memhist.Breaker
-		if *brkAfter > 0 {
-			breaker = &memhist.Breaker{
-				Target:      *remote,
-				Threshold:   *brkAfter,
-				Cooldown:    *brkCool,
-				MaxCooldown: *brkMax,
-			}
-		}
 		h, err = memhist.FetchRemoteWith(*remote, req, memhist.FetchOptions{
 			Timeout:       *probeTO,
 			Retries:       *retries,
 			FallbackLocal: *fallback,
-			Breaker:       breaker,
 		})
 	}
 	if err != nil {

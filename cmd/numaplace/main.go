@@ -8,7 +8,7 @@
 // Usage:
 //
 //	numaplace -workload sift -threads 8
-//	numaplace -workload parallelsort -threads 16 -machine dl580 -reps 3
+//	numaplace -workload parallelsort -threads 16 -machine dl580
 package main
 
 import (
@@ -35,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workload = fs.String("workload", "", "workload to place (see -workloads)")
 		machine  = fs.String("machine", "dl580", "machine: dl580, 2s, 8s, uma")
 		threads  = fs.Int("threads", 8, "thread count")
-		reps     = fs.Int("reps", 2, "repetitions per configuration")
 		seed     = fs.Int64("seed", 1, "noise seed")
 		wlList   = fs.Bool("workloads", false, "list available workloads")
 	)
@@ -60,10 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "numaplace: -threads must be at least 1, got %d\n", *threads)
 		return 2
 	}
-	if *reps < 1 {
-		fmt.Fprintf(stderr, "numaplace: -reps must be at least 1, got %d\n", *reps)
-		return 2
-	}
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "numaplace: "+format+"\n", args...)
 		return 1
@@ -80,12 +75,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	rows, err := s.ComparePlacements(wl, *reps)
+	rows, err := s.ComparePlacements(wl)
 	if err != nil {
 		return fail("%v", err)
 	}
-	fmt.Fprintf(stdout, "%s on %s, %d threads, %d reps per configuration\n\n",
-		wl.Name(), s.Machine().Name, *threads, *reps)
+	fmt.Fprintf(stdout, "%s on %s, %d threads\n\n", wl.Name(), s.Machine().Name, *threads)
 	fmt.Fprint(stdout, numaperf.RenderPlacements(rows))
 	best := rows[0]
 	fmt.Fprintf(stdout, "\nrecommendation: %s pages with %s pinning (%.2fx over the worst choice)\n",

@@ -26,12 +26,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad flag", []string{"-definitely-not-a-flag"}, 2, "", ""},
 		{"no workload", nil, 2, "", "Usage"},
 		{"zero threads", []string{"-workload", "pointer-chase", "-threads", "0"}, 2, "", "numaplace: -threads must be at least 1, got 0\n"},
-		{"zero reps", []string{"-workload", "pointer-chase", "-reps", "0"}, 2, "", "numaplace: -reps must be at least 1, got 0\n"},
-		{"negative reps", []string{"-workload", "pointer-chase", "-reps", "-3"}, 2, "", "numaplace: -reps must be at least 1, got -3\n"},
 		{"unknown machine", []string{"-workload", "pointer-chase", "-machine", "mystery"}, 1, "", "unknown machine"},
 		{"unknown workload", []string{"-workload", "nope"}, 1, "", "unknown workload"},
 		{"too many threads", []string{"-workload", "pointer-chase", "-machine", "uma", "-threads", "9"}, 1, "", "9 threads exceed 8 cores"},
-		{"placed", []string{"-workload", "pointer-chase", "-threads", "2", "-reps", "1", "-machine", "2s"}, 0,
+		{"placed", []string{"-workload", "pointer-chase", "-threads", "2", "-machine", "2s"}, 0,
 			"\nrecommendation: first-touch pages with compact pinning", ""},
 	}
 	for _, tc := range cases {

@@ -234,8 +234,10 @@ func CompareWorkloads(ea *exec.Engine, bodyA func(*exec.Thread), eb *exec.Engine
 // evaluated filtering functors.
 type Filter func(Row) bool
 
-// NonZero keeps rows where at least one side fired.
-func NonZero() Filter { return func(r Row) bool { return !r.Zero } }
+// NonZero keeps rows where at least one side fired, and every row
+// that rests on partial data: an event without samples reads zero, and
+// dropping its row would hide the gap.
+func NonZero() Filter { return func(r Row) bool { return !r.Zero || r.PartialData() } }
 
 // SignificantOnly keeps rows whose difference passed the corrected
 // test.
@@ -257,10 +259,11 @@ func NameContains(sub string) Filter {
 }
 
 // Where returns a new Comparison containing only rows passing all
-// filters.
+// filters. It stays Partial if c is: a filter narrows the view, not the
+// data behind it.
 func (c *Comparison) Where(filters ...Filter) *Comparison {
 	out := &Comparison{Alpha: c.Alpha, Comparisons: c.Comparisons, RunsA: c.RunsA, RunsB: c.RunsB,
-		OnlyA: c.OnlyA, OnlyB: c.OnlyB}
+		OnlyA: c.OnlyA, OnlyB: c.OnlyB, Partial: c.Partial}
 	for _, r := range c.Rows {
 		keep := true
 		for _, f := range filters {
@@ -271,9 +274,6 @@ func (c *Comparison) Where(filters ...Filter) *Comparison {
 		}
 		if keep {
 			out.Rows = append(out.Rows, r)
-			if r.PartialData() {
-				out.Partial = true
-			}
 		}
 	}
 	return out

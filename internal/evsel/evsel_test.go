@@ -519,6 +519,25 @@ func TestCompareMismatchedEventSets(t *testing.T) {
 	if len(filtered.OnlyA) != 1 || len(filtered.OnlyB) != 1 {
 		t.Error("Where dropped the OnlyA/OnlyB annotations")
 	}
+	// A filter that keeps only complete rows still describes partial data.
+	if full := cmp.Where(NameContains(counters.Def(counters.AllLoads).Name)); len(full.Rows) != 1 || !full.Partial {
+		t.Errorf("filtered to %d complete row(s), Partial = %v; want 1 row of a partial comparison", len(full.Rows), full.Partial)
+	}
+	// An event without samples on either side reads zero, yet NonZero
+	// keeps its row: it is a gap, not a quiet counter.
+	a.Samples[counters.L3Miss] = nil
+	b.Samples[counters.L3Miss] = nil
+	gapped, err := Compare(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered = gapped.Where(NonZero())
+	if row, ok := filtered.Row(counters.L3Miss); !ok || !row.Zero || !row.PartialData() {
+		t.Errorf("NonZero dropped the gap row (kept %v: %+v)", ok, row)
+	}
+	if !filtered.Partial || !strings.Contains(filtered.Render(), "COVER") {
+		t.Error("NonZero lost the comparison's partial marker")
+	}
 }
 
 func TestCompareCompleteDataHasNoCoverColumn(t *testing.T) {

@@ -2,7 +2,6 @@ package memhist
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -24,17 +23,12 @@ type FetchOptions struct {
 	// Backoff schedules the retry delays; nil selects
 	// probenet.NewBackoff(0, 0, 1), the deterministic default. When the
 	// previous rejection carried a retry-after hint longer than the
-	// backoff delay, the hint wins: the probe knows its own queue.
+	// backoff delay, as an older probe's may, the hint wins.
 	Backoff *probenet.Backoff
 	// FallbackLocal degrades gracefully: when the probe stays
-	// unreachable after all retries — or its circuit breaker is open —
-	// measure locally and tag the histogram OriginLocalFallback.
+	// unreachable after all retries, measure locally and tag the
+	// histogram OriginLocalFallback.
 	FallbackLocal bool
-	// Breaker, when set, guards the target: attempts are refused with a
-	// typed *CircuitOpenError while it is open, and every attempt's
-	// outcome feeds its state machine. Share one Breaker per target
-	// across calls to get circuit behaviour.
-	Breaker *Breaker
 
 	// Sleep replaces time.Sleep between retries (test hook).
 	Sleep func(time.Duration)
@@ -90,36 +84,17 @@ func FetchRemoteWith(addr string, req ProbeRequest, opts FetchOptions) (*Histogr
 			}
 			opts.Sleep(delay)
 		}
-		if opts.Breaker != nil {
-			if err := opts.Breaker.Allow(); err != nil {
-				lastErr = err
-				break
-			}
-		}
 		h, err := fetchOnce(addr, req, opts)
 		if err == nil {
-			if opts.Breaker != nil {
-				opts.Breaker.Success()
-			}
 			h.Origin = OriginProbe
 			return h, nil
 		}
 		lastErr = err
-		if probenet.IsBackpressure(err) {
-			// The probe is healthy but busy: wait out its hint and try
-			// again. The breaker still counts it — sustained overload
-			// should eventually open the circuit.
-			if opts.Breaker != nil {
-				opts.Breaker.Failure(err)
-			}
-			continue
-		}
-		if !probenet.IsTransient(err) {
+		if !probenet.IsBackpressure(err) && !probenet.IsTransient(err) {
 			// A well-formed probe verdict or version mismatch: final.
+			// Backpressure means the probe is healthy but busy or
+			// draining, so it is worth another attempt.
 			return nil, err
-		}
-		if opts.Breaker != nil {
-			opts.Breaker.Failure(err)
 		}
 	}
 	if opts.FallbackLocal {
@@ -129,9 +104,6 @@ func FetchRemoteWith(addr string, req ProbeRequest, opts FetchOptions) (*Histogr
 		}
 		h.Origin = OriginLocalFallback
 		return h, nil
-	}
-	if errors.Is(lastErr, ErrCircuitOpen) {
-		return nil, lastErr
 	}
 	return nil, fmt.Errorf("memhist: probe %s unreachable after %d attempt(s): %w", addr, opts.Retries+1, lastErr)
 }

@@ -74,13 +74,6 @@ type Histogram struct {
 	// the two threshold estimates its count was subtracted from, in
 	// [0, 1]; nil when the measurement carried no quality report.
 	Confidence []float64 `json:",omitempty"`
-	// Brownout marks a histogram measured at deliberately reduced
-	// fidelity because the serving probe was under sustained pressure:
-	// fewer reps and coarser dwell, with the honest Quality/Confidence
-	// accounting of what was actually observed. False (and absent from
-	// the wire) on full-fidelity measurements, so unpressured probes
-	// stay byte-identical to pre-overload peers.
-	Brownout bool `json:",omitempty"`
 }
 
 // LowConfidence is the per-bin confidence below which Render flags an
@@ -451,11 +444,7 @@ func (h *Histogram) Render(mode Mode, width int) string {
 		scaleMax = 1
 	}
 	var sb strings.Builder
-	brownout := ""
-	if h.Brownout {
-		brownout = " (BROWNOUT)"
-	}
-	fmt.Fprintf(&sb, "latency histogram (%s) — %s%s\n", mode, h.Source, brownout)
+	fmt.Fprintf(&sb, "latency histogram (%s) — %s\n", mode, h.Source)
 	for i := range h.Counts {
 		lo, hi := h.Interval(i)
 		rangeLabel := fmt.Sprintf("%4d-%4d", lo, hi)

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"numaperf/internal/clockx"
 	"numaperf/internal/probenet"
 	"numaperf/internal/topology"
 	"numaperf/internal/workloads"
@@ -49,21 +48,6 @@ type ProbeStats struct {
 	// below the default coverage floor — measurements a -strict client
 	// would have rejected.
 	LowCoverageServed uint64 `json:"low_coverage_served,omitempty"`
-	// ShedOverload counts requests shed by the in-flight admission
-	// queue with an "overloaded" ERROR plus retry-after hint: the
-	// request was admitted to the connection but its queue wait would
-	// have blown the propagated deadline (or the queue budget was
-	// already spent). Zero — and absent from the wire — on probes that
-	// never shed, keeping their PING payloads byte-identical.
-	ShedOverload uint64 `json:"shed_overload,omitempty"`
-	// QueuedRequests counts requests that waited for an in-flight slot
-	// before being served (pressure short of shedding).
-	QueuedRequests uint64 `json:"queued_requests,omitempty"`
-	// BrownoutEntered counts transitions into brownout mode.
-	BrownoutEntered uint64 `json:"brownout_entered,omitempty"`
-	// BrownoutServed counts histograms served at reduced fidelity while
-	// the probe was browned out.
-	BrownoutServed uint64 `json:"brownout_served,omitempty"`
 }
 
 type probeCounters struct {
@@ -77,10 +61,6 @@ type probeCounters struct {
 	samplesDropped    atomic.Uint64
 	throttledCycles   atomic.Uint64
 	lowCoverageServed atomic.Uint64
-	shedOverload      atomic.Uint64
-	queuedRequests    atomic.Uint64
-	brownoutEntered   atomic.Uint64
-	brownoutServed    atomic.Uint64
 }
 
 func (c *probeCounters) snapshot() ProbeStats {
@@ -95,10 +75,6 @@ func (c *probeCounters) snapshot() ProbeStats {
 		SamplesDropped:    c.samplesDropped.Load(),
 		ThrottledCycles:   c.throttledCycles.Load(),
 		LowCoverageServed: c.lowCoverageServed.Load(),
-		ShedOverload:      c.shedOverload.Load(),
-		QueuedRequests:    c.queuedRequests.Load(),
-		BrownoutEntered:   c.brownoutEntered.Load(),
-		BrownoutServed:    c.brownoutServed.Load(),
 	}
 }
 
@@ -110,34 +86,6 @@ type ProbeServer struct {
 	// MaxConns bounds concurrently served connections; beyond it new
 	// connections receive an "overloaded" ERROR frame. Default 16.
 	MaxConns int
-	// MaxInflight bounds concurrently *measured* requests across all
-	// connections — the request-level admission control behind the
-	// connection cap. Requests beyond it queue (up to QueueBudget) and
-	// are shed with an "overloaded" ERROR plus retry-after hint when
-	// their queue wait would blow the propagated deadline. 0 disables
-	// admission control entirely: the legacy serve path, byte-identical
-	// to pre-overload probes.
-	MaxInflight int
-	// QueueBudget bounds requests waiting for an in-flight slot; a
-	// request arriving past the budget is shed immediately. Only
-	// meaningful with MaxInflight > 0. Default 0: no queue, shed on the
-	// first request past MaxInflight.
-	QueueBudget int
-	// BrownoutAfter flips the probe into brownout mode once this many
-	// requests have been shed in the current pressure episode: instead
-	// of refusing further work, the probe serves reduced-fidelity
-	// histograms (single rep, coarser dwell, no adaptive repair) with
-	// honest SampleQuality and a (BROWNOUT) render marker. A calm
-	// admission — one that found the probe idle — ends the episode and
-	// restores full fidelity. 0 disables brownout.
-	BrownoutAfter int
-	// Seed seeds the retry-after jitter (retryAfterBase..retryAfterMax);
-	// 0 selects 1.
-	Seed int64
-	// Clock paces queue waits; nil selects the system clock. Tests
-	// inject a clockx.Fake to walk queued requests into their deadlines
-	// deterministically.
-	Clock clockx.Clock
 	// Handle serves one measurement request; nil selects HandleRequest.
 	// The scenario engine and custom probes use it to control what (and
 	// how slowly) the probe measures.
@@ -157,16 +105,6 @@ type ProbeServer struct {
 	draining atomic.Bool
 	wg       sync.WaitGroup
 	stats    probeCounters
-
-	// Admission state: the in-flight slot semaphore plus the pressure
-	// detector, all under olmu (the retry-after rng is not safe for
-	// concurrent draws).
-	inflight chan struct{}
-	olmu     sync.Mutex
-	hint     *probenet.Backoff
-	queued   int
-	episode  int // sheds in the current pressure episode
-	brownout bool
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -231,169 +169,18 @@ func (s *ProbeServer) init() {
 		if s.MaxConns <= 0 {
 			s.MaxConns = 16
 		}
-		seed := s.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		s.hint = probenet.NewBackoff(retryAfterBase, retryAfterMax, seed)
-		if s.Clock == nil {
-			s.Clock = clockx.System()
-		}
-		if s.MaxInflight > 0 {
-			s.inflight = make(chan struct{}, s.MaxInflight)
-		}
 		s.sem = make(chan struct{}, s.MaxConns)
 		s.listeners = make(map[net.Listener]struct{})
 		s.conns = make(map[*probeConn]struct{})
 	})
 }
 
-// Retry-after hints on overloaded and shutting-down errors grow from
-// retryAfterBase to at most retryAfterMax with seeded jitter.
-const (
-	retryAfterBase = 25 * time.Millisecond
-	retryAfterMax  = 500 * time.Millisecond
-)
-
 // Connection deadlines: idleTimeout bounds the wait for the next frame
-// on an open connection (and a queued request's wait when the client
-// propagated no deadline), writeTimeout each frame write.
+// on an open connection, writeTimeout each frame write.
 const (
 	idleTimeout  = 2 * time.Minute
 	writeTimeout = 30 * time.Second
 )
-
-// retryAfterMillis draws the next backpressure hint: a capped seeded-
-// jitter exponential keyed to the depth of the current pressure episode,
-// so hints grow as the overload persists and replay identically for a
-// given seed and shed sequence.
-func (s *ProbeServer) retryAfterMillis() int64 {
-	s.olmu.Lock()
-	defer s.olmu.Unlock()
-	return s.hintLocked()
-}
-
-// admit applies request-level admission control. It returns a release
-// function when the request may be measured (in brownout fidelity when
-// brown is true), or shed=true when the request must be answered with
-// an overloaded ERROR carrying the hint.
-func (s *ProbeServer) admit(timeoutMillis int64) (release func(), brown, shed bool, hintMillis int64) {
-	if s.inflight == nil {
-		return func() {}, false, false, 0
-	}
-	free := func() { <-s.inflight }
-	// Fast path: a free slot means the probe is keeping up. Finding the
-	// queue empty too is the calm signal that ends a pressure episode
-	// and clears brownout.
-	select {
-	case s.inflight <- struct{}{}:
-		s.olmu.Lock()
-		if s.queued == 0 {
-			s.episode = 0
-			s.brownout = false
-		}
-		brown = s.brownout
-		s.olmu.Unlock()
-		if brown {
-			s.stats.brownoutServed.Add(1)
-		}
-		return free, brown, false, 0
-	default:
-	}
-	// Queue, within budget.
-	s.olmu.Lock()
-	if s.queued >= s.QueueBudget {
-		s.shedLocked()
-		hint := s.hintLocked()
-		s.olmu.Unlock()
-		return nil, false, true, hint
-	}
-	s.queued++
-	s.olmu.Unlock()
-	s.stats.queuedRequests.Add(1)
-
-	// A queued request may spend at most half its propagated deadline
-	// waiting — the other half must remain for the measurement and the
-	// response write. No deadline caps the wait at the idle timeout so
-	// a silent client cannot pin a queue slot forever.
-	wait := idleTimeout
-	if timeoutMillis > 0 {
-		wait = time.Duration(timeoutMillis) * time.Millisecond / 2
-	}
-	expired := make(chan struct{})
-	abandon := make(chan struct{})
-	go func() {
-		s.Clock.Sleep(wait)
-		select {
-		case <-abandon:
-		default:
-			close(expired)
-		}
-	}()
-	select {
-	case s.inflight <- struct{}{}:
-		close(abandon)
-		s.olmu.Lock()
-		s.queued--
-		brown = s.brownout
-		s.olmu.Unlock()
-		if brown {
-			s.stats.brownoutServed.Add(1)
-		}
-		return free, brown, false, 0
-	case <-expired:
-		s.olmu.Lock()
-		s.queued--
-		s.shedLocked()
-		hint := s.hintLocked()
-		s.olmu.Unlock()
-		return nil, false, true, hint
-	}
-}
-
-// shedLocked records one shed and advances the pressure episode,
-// entering brownout at the configured threshold. Callers hold olmu.
-func (s *ProbeServer) shedLocked() {
-	s.stats.shedOverload.Add(1)
-	s.episode++
-	if s.BrownoutAfter > 0 && s.episode >= s.BrownoutAfter && !s.brownout {
-		s.brownout = true
-		s.stats.brownoutEntered.Add(1)
-		s.logf("memhist: probe entering brownout after %d sheds", s.episode)
-	}
-}
-
-// hintLocked draws the retry-after hint for the current episode depth.
-// Callers hold olmu.
-func (s *ProbeServer) hintLocked() int64 {
-	attempt := s.episode
-	if attempt > 6 {
-		attempt = 6
-	}
-	ms := s.hint.Delay(attempt).Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
-}
-
-// brownoutRequest degrades a request to brownout fidelity: one rep, no
-// adaptive repair, and a quarter of any explicit dwell. Exact requests
-// pass through — ground truth is cheap and must stay ground truth.
-func brownoutRequest(req ProbeRequest) ProbeRequest {
-	if req.Exact {
-		return req
-	}
-	req.Reps = 1
-	req.Adaptive = false
-	if req.SliceCycles > 0 {
-		req.SliceCycles /= 4
-		if req.SliceCycles < 1 {
-			req.SliceCycles = 1
-		}
-	}
-	return req
-}
 
 func (s *ProbeServer) logf(format string, args ...any) {
 	if s.Logf != nil {
@@ -435,14 +222,14 @@ func (s *ProbeServer) Serve(l net.Listener) error {
 		s.stats.accepted.Add(1)
 		if s.draining.Load() {
 			s.stats.rejectedDraining.Add(1)
-			go s.reject(conn, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
+			go s.reject(conn, probenet.CodeShuttingDown, "probe is draining")
 			continue
 		}
 		select {
 		case s.sem <- struct{}{}:
 		default:
 			s.stats.rejectedOverload.Add(1)
-			go s.reject(conn, probenet.CodeOverloaded, fmt.Sprintf("probe at connection limit %d", s.MaxConns), s.retryAfterMillis())
+			go s.reject(conn, probenet.CodeOverloaded, fmt.Sprintf("probe at connection limit %d", s.MaxConns))
 			continue
 		}
 		pc := &probeConn{conn: conn}
@@ -454,7 +241,7 @@ func (s *ProbeServer) Serve(l net.Listener) error {
 			s.mu.Unlock()
 			<-s.sem
 			s.stats.rejectedDraining.Add(1)
-			go s.reject(conn, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
+			go s.reject(conn, probenet.CodeShuttingDown, "probe is draining")
 			continue
 		}
 		s.conns[pc] = struct{}{}
@@ -479,11 +266,10 @@ func (s *ProbeServer) Serve(l net.Listener) error {
 }
 
 // reject answers a connection we will not serve with a single ERROR
-// frame — carrying the retry-after hint when the rejection is
-// backpressure — and closes it.
-func (s *ProbeServer) reject(conn net.Conn, code probenet.ErrorCode, msg string, retryAfterMillis int64) {
+// frame and closes it.
+func (s *ProbeServer) reject(conn net.Conn, code probenet.ErrorCode, msg string) {
 	defer conn.Close()
-	s.sendError(s.writer(conn), 0, code, msg, retryAfterMillis)
+	s.sendError(s.writer(conn), 0, code, msg)
 }
 
 // writer returns the frame writer for conn: each frame under the write
@@ -501,11 +287,10 @@ func (s *ProbeServer) writer(conn net.Conn) func(probenet.FrameType, any) error 
 	}
 }
 
-// sendError writes an ERROR frame; a nonzero retry-after hint makes it
-// the request-scoped backpressure answer of the admission queue.
-func (s *ProbeServer) sendError(write func(probenet.FrameType, any) error, id uint64, code probenet.ErrorCode, msg string, retryAfterMillis int64) error {
+// sendError writes an ERROR frame.
+func (s *ProbeServer) sendError(write func(probenet.FrameType, any) error, id uint64, code probenet.ErrorCode, msg string) error {
 	return writeCounted(&s.stats.errorsSent, write, probenet.FrameError,
-		&probenet.ErrorMsg{ID: id, Code: code, Message: msg, RetryAfterMillis: retryAfterMillis})
+		&probenet.ErrorMsg{ID: id, Code: code, Message: msg})
 }
 
 // writeCounted writes a frame that n counts. The count goes up before
@@ -539,7 +324,7 @@ func (s *ProbeServer) handle(pc *probeConn) {
 	}
 	for {
 		if s.draining.Load() {
-			s.sendError(write, 0, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
+			s.sendError(write, 0, probenet.CodeShuttingDown, "probe is draining")
 			return
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
@@ -560,7 +345,7 @@ func (s *ProbeServer) handle(pc *probeConn) {
 		case probenet.FramePing:
 			var ping probenet.Ping
 			if probenet.Decode(t, payload, &ping) != nil {
-				s.sendError(write, 0, probenet.CodeBadRequest, "malformed PING", 0)
+				s.sendError(write, 0, probenet.CodeBadRequest, "malformed PING")
 				continue
 			}
 			stats, _ := json.Marshal(s.Stats())
@@ -570,7 +355,7 @@ func (s *ProbeServer) handle(pc *probeConn) {
 		case probenet.FrameRequest:
 			var env probenet.Request
 			if probenet.Decode(t, payload, &env) != nil {
-				s.sendError(write, 0, probenet.CodeBadRequest, "malformed REQUEST envelope", 0)
+				s.sendError(write, 0, probenet.CodeBadRequest, "malformed REQUEST envelope")
 				continue
 			}
 			if !pc.beginRequest() {
@@ -582,7 +367,7 @@ func (s *ProbeServer) handle(pc *probeConn) {
 				return
 			}
 		default:
-			s.sendError(write, 0, probenet.CodeBadRequest, fmt.Sprintf("unexpected %s frame", t), 0)
+			s.sendError(write, 0, probenet.CodeBadRequest, fmt.Sprintf("unexpected %s frame", t))
 		}
 	}
 }
@@ -590,9 +375,9 @@ func (s *ProbeServer) handle(pc *probeConn) {
 // ServeRequest answers one REQUEST envelope through write, the one
 // request path of the probe: its connection loop and the fleet's probe
 // agent both call it, so every route measures and answers alike. It
-// decodes and validates the body, applies admission control and
-// brownout, measures with panic recovery, maps a failure onto its error
-// code, accounts sampling fidelity, and encodes the RESPONSE. Every
+// decodes and validates the body, measures with panic recovery, maps a
+// failure onto its error code, accounts sampling fidelity, and encodes
+// the RESPONSE. Every
 // RESPONSE or ERROR is counted before write is called, so a peer that
 // has read it sees it counted; a failed write takes the count back. The
 // error returned is write's, after which the link is unusable.
@@ -600,31 +385,14 @@ func (s *ProbeServer) ServeRequest(env probenet.Request, write func(probenet.Fra
 	s.init()
 	var req ProbeRequest
 	if err := json.Unmarshal(env.Body, &req); err != nil {
-		return s.sendError(write, env.ID, probenet.CodeBadRequest, fmt.Sprintf("malformed request body: %v", err), 0)
+		return s.sendError(write, env.ID, probenet.CodeBadRequest, fmt.Sprintf("malformed request body: %v", err))
 	}
 	if err := req.Validate(); err != nil {
-		return s.sendError(write, env.ID, probenet.CodeBadRequest, err.Error(), 0)
-	}
-	// Request-level admission: past MaxInflight the request queues up to
-	// the budget and is shed — with a retry-after hint — once its queue
-	// wait would blow the propagated deadline. Under sustained pressure
-	// the probe browns out and serves reduced fidelity instead.
-	release, brown, shed, hintMillis := s.admit(env.TimeoutMillis)
-	if shed {
-		return s.sendError(write, env.ID, probenet.CodeOverloaded,
-			fmt.Sprintf("probe shedding load (inflight limit %d, queue budget %d)", s.MaxInflight, s.QueueBudget),
-			hintMillis)
-	}
-	if brown {
-		req = brownoutRequest(req)
+		return s.sendError(write, env.ID, probenet.CodeBadRequest, err.Error())
 	}
 	h, err := s.measure(req)
-	release()
 	if err != nil {
-		return s.sendError(write, env.ID, errorCode(err), err.Error(), 0)
-	}
-	if brown && !req.Exact {
-		h.Brownout = true
+		return s.sendError(write, env.ID, errorCode(err), err.Error())
 	}
 	// Fidelity accounting: the probe's operators see sampling losses in
 	// the PING stats even when every individual response is accepted by
@@ -638,7 +406,7 @@ func (s *ProbeServer) ServeRequest(env probenet.Request, write func(probenet.Fra
 	}
 	body, err := json.Marshal(h)
 	if err != nil {
-		return s.sendError(write, env.ID, probenet.CodeInternal, fmt.Sprintf("encoding histogram: %v", err), 0)
+		return s.sendError(write, env.ID, probenet.CodeInternal, fmt.Sprintf("encoding histogram: %v", err))
 	}
 	return writeCounted(&s.stats.served, write, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body})
 }
@@ -691,7 +459,7 @@ func (s *ProbeServer) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 
 	farewell := func(c net.Conn) {
-		s.sendError(s.writer(c), 0, probenet.CodeShuttingDown, "probe is draining", s.retryAfterMillis())
+		s.sendError(s.writer(c), 0, probenet.CodeShuttingDown, "probe is draining")
 	}
 	for _, pc := range idle {
 		pc.closeIfIdle(farewell)

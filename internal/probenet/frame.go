@@ -122,8 +122,9 @@ type Heartbeat struct {
 }
 
 // Request envelopes one measurement request. The Body is opaque to
-// probenet (the memhist request JSON); TimeoutMillis propagates the
-// client's per-request deadline to the server.
+// probenet (the memhist request JSON); TimeoutMillis carries the
+// client's per-request deadline, which the client enforces itself. A
+// probe of this version does not act on it.
 type Request struct {
 	ID            uint64          `json:"id"`
 	TimeoutMillis int64           `json:"timeout_ms,omitempty"`
@@ -140,11 +141,12 @@ type Response struct {
 // failed; ID 0 means the error concerns the connection as a whole
 // (overloaded, shutting-down, protocol violations).
 //
-// RetryAfterMillis is the backpressure hint attached to CodeOverloaded
-// and CodeShuttingDown errors: how long the peer suggests waiting
-// before trying again. Zero means no hint and is omitted from the
-// wire, so ERROR frames from peers that predate overload protection —
-// and frames for codes that never carry a hint — stay byte-identical.
+// RetryAfterMillis is a backpressure hint on CodeOverloaded and
+// CodeShuttingDown errors: how long the peer suggests waiting before
+// trying again. Zero means no hint and is omitted from the wire. A
+// probe of this version sends none; the field stays so that clients
+// honour the hints of older probes and of the fleet's scripted
+// overload answers.
 type ErrorMsg struct {
 	ID               uint64    `json:"id"`
 	Code             ErrorCode `json:"code"`

@@ -260,29 +260,6 @@ var registry = map[string]*actionDef{
 		},
 		arm: func(r *rig, ev Event) { r.failAccepts = ev.Count },
 	},
-	"net.overload_storm": {
-		name: "net.overload_storm", modes: []string{ModeFetch},
-		summary: "saturate the probe's measurement slot and force `count` sheds, browning the probe out before the fetch",
-		params:  "count (> 0 sheds; needs fetch max_inflight: 1, queue_budget >= 1, brownout_after in [1, count])",
-		fields:  []string{"count"},
-		validate: func(sc *Scenario, ev *Event, i int) error {
-			if ev.Count <= 0 {
-				return &SpecError{Field: evField(i, "count"), Msg: "a positive shed count is required"}
-			}
-			fs := sc.Fetch
-			if fs == nil || fs.MaxInflight != 1 {
-				return &SpecError{Field: evField(i, "action"), Msg: "net.overload_storm requires fetch.max_inflight: 1"}
-			}
-			if fs.QueueBudget < 1 {
-				return &SpecError{Field: evField(i, "action"), Msg: "net.overload_storm requires fetch.queue_budget >= 1 so the fetch can queue"}
-			}
-			if fs.BrownoutAfter < 1 || fs.BrownoutAfter > ev.Count {
-				return &SpecError{Field: evField(i, "action"), Msg: "net.overload_storm requires fetch.brownout_after in [1, count]"}
-			}
-			return nil
-		},
-		arm: func(r *rig, ev Event) { r.storm = ev.Count },
-	},
 
 	// --- faultrun (campaign): a run cell misbehaves. ---
 	"run.hang": {
@@ -794,19 +771,9 @@ var registry = map[string]*actionDef{
 			return out.matchesRef, fmt.Sprintf("matches_reference=%v", out.matchesRef)
 		},
 	},
-	"assert.brownout": {
-		name: "assert.brownout", modes: []string{ModeFetch},
-		summary:  "the stormed fetch was served at brownout fidelity with the honest render marker",
-		params:   "-",
-		validate: needOverloadStage,
-		check: func(_ *Scenario, _ Event, out *outcome) (bool, string) {
-			return out.brownoutServed && out.brownoutMarked,
-				fmt.Sprintf("brownout_served=%v marked=%v", out.brownoutServed, out.brownoutMarked)
-		},
-	},
 	"assert.backpressure": {
-		name: "assert.backpressure", modes: []string{ModeFetch, ModeFleet},
-		summary: "at least `min` requests were shed (fetch) or deferred (fleet) with retry-after hints",
+		name: "assert.backpressure", modes: []string{ModeFleet},
+		summary: "at least `min` cells were deferred with retry-after hints",
 		params:  "min", fields: []string{"min"},
 		validate: func(sc *Scenario, ev *Event, i int) error {
 			if err := needOverloadStage(sc, ev, i); err != nil {
@@ -814,12 +781,9 @@ var registry = map[string]*actionDef{
 			}
 			return needMin(sc, ev, i)
 		},
-		check: func(sc *Scenario, ev Event, out *outcome) (bool, string) {
-			if sc.Mode == ModeFetch {
-				return atLeast("sheds", func(out *outcome) int { return out.sheds })(sc, ev, out)
-			}
-			// The fleet deferral tally varies with dispatch scheduling, so
-			// the detail records only the threshold verdict — keeping the
+		check: func(_ *Scenario, ev Event, out *outcome) (bool, string) {
+			// The deferral tally varies with dispatch scheduling, so the
+			// detail records only the threshold verdict — keeping the
 			// report byte-identical across runs.
 			ok := float64(out.fleetRep.Backpressure) >= *ev.Min
 			return ok, fmt.Sprintf("deferrals>=%g met=%v", *ev.Min, ok)
@@ -924,16 +888,16 @@ func needMin(_ *Scenario, ev *Event, i int) error {
 	return nil
 }
 
-// needOverloadStage ties overload asserts to an actual overload fault:
-// without a storm or scripted overload answers there is nothing shed
+// needOverloadStage ties the backpressure assert to an actual overload
+// fault: without scripted overload answers there is nothing deferred
 // to assert about.
 func needOverloadStage(sc *Scenario, ev *Event, i int) error {
 	for _, other := range sc.Events {
-		if other.Action == "net.overload_storm" || other.Action == "fleet.overload_answers" {
+		if other.Action == "fleet.overload_answers" {
 			return nil
 		}
 	}
-	return &SpecError{Field: evField(i, "action"), Msg: ev.Action + " requires a net.overload_storm or fleet.overload_answers fault event"}
+	return &SpecError{Field: evField(i, "action"), Msg: ev.Action + " requires a fleet.overload_answers fault event"}
 }
 
 // needDataStage ties degradation asserts to an actual data.* fault:

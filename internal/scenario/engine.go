@@ -9,8 +9,6 @@ import (
 	"net"
 	"reflect"
 	"sort"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"numaperf/internal/campaign"
@@ -72,13 +70,6 @@ type outcome struct {
 	// journalVerify is the offline fsck verdict of what a fleet
 	// campaign with fleet.journal left on disk.
 	journalVerify string
-
-	// Overload-storm telemetry (fetch mode): the exact shed tally the
-	// storm forced, and whether the queued fetch was served at brownout
-	// fidelity with the honest render marker.
-	sheds          int
-	brownoutServed bool
-	brownoutMarked bool
 }
 
 // rig holds the injector scripts a stage's fault events armed. A stage
@@ -91,7 +82,6 @@ type rig struct {
 
 	conns       map[int]*faultnet.ConnScript // fetch: faults per accepted connection
 	failAccepts int
-	storm       int // sheds the fetch-mode overload storm forces; 0 = no storm
 
 	run  faultrun.Script
 	data []func(*faultdata.Injector, *perf.Measurement) *perf.Measurement
@@ -298,28 +288,7 @@ func runFetch(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts 
 		return nil, err
 	}
 	fl := faultnet.Wrap(ln, faultnet.Options{Seed: seed, FailFirstAccepts: r.failAccepts, Script: script})
-	srv := &memhist.ProbeServer{
-		MaxConns:      8,
-		MaxInflight:   fs.MaxInflight,
-		QueueBudget:   fs.QueueBudget,
-		BrownoutAfter: fs.BrownoutAfter,
-		Seed:          seed,
-	}
-	var hogEntered, hogRelease chan struct{}
-	if r.storm > 0 {
-		// The first request to reach the measurement slot is the storm's
-		// hog: it parks there until the engine releases it, so admission
-		// decisions during the storm are a pure function of the scenario.
-		hogEntered, hogRelease = make(chan struct{}), make(chan struct{})
-		var hogged atomic.Bool
-		srv.Handle = func(r memhist.ProbeRequest) (*memhist.Histogram, error) {
-			if hogged.CompareAndSwap(false, true) {
-				close(hogEntered)
-				<-hogRelease
-			}
-			return memhist.HandleRequest(r)
-		}
-	}
+	srv := &memhist.ProbeServer{MaxConns: 8}
 	done := make(chan struct{})
 	go func() { _ = srv.Serve(fl); close(done) }()
 	defer func() { ln.Close(); <-done }()
@@ -333,25 +302,6 @@ func runFetch(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts 
 		timeout = 30 * time.Second
 	}
 	out := &outcome{}
-	if r.storm > 0 {
-		bh, sheds, serr := driveOverloadStorm(ln.Addr().String(), req, r.storm, srv, hogEntered, hogRelease, timeout, opts)
-		if serr != nil {
-			return nil, fmt.Errorf("scenario: overload storm: %w", serr)
-		}
-		out.sheds = sheds
-		out.brownoutServed = bh.Brownout
-		out.brownoutMarked = strings.Contains(bh.Render(memhist.Occurrences, 60), "(BROWNOUT)")
-		bj, err := json.Marshal(bh)
-		if err != nil {
-			return nil, err
-		}
-		out.records = append(out.records, Record{"outcome", overloadOutcomeRec{
-			Kind: "outcome", Stage: "overload",
-			Sheds: sheds, BrownoutServed: out.brownoutServed, Marked: out.brownoutMarked,
-			Histogram: bj,
-		}})
-		opts.logf("storm: %d sheds, brownout fetch served, probe recovering", sheds)
-	}
 	opts.logf("fetch: dialing probe with %d retries", fs.Retries)
 	h, ferr := memhist.FetchRemoteWith(ln.Addr().String(), req, memhist.FetchOptions{
 		Timeout:       timeout,
@@ -378,126 +328,6 @@ func runFetch(sc *Scenario, seed int64, faults []Event, fake *clockx.Fake, opts 
 	out.render = h.Render(memhist.Occurrences, 60)
 	out.records = append(out.records, Record{"outcome", fetchOutcomeRec{"outcome", "fetch", h.Origin, out.matchesRef, hj}})
 	return out, nil
-}
-
-// driveOverloadStorm reproduces a deterministic overload episode
-// against the running probe server: a hog request saturates the single
-// measurement slot, `count` sequential storm requests queue briefly,
-// time out and shed with retry-after hints (tripping brownout at the
-// configured threshold), and a fetch through the still-held queue is
-// answered at brownout fidelity. The hog releases only once that fetch
-// is parked in the queue — a calm admission would clear the brownout —
-// so the reduced-fidelity response is a pure function of the scenario.
-func driveOverloadStorm(addr string, req memhist.ProbeRequest, count int, srv *memhist.ProbeServer, entered, release chan struct{}, timeout time.Duration, opts RunOptions) (*memhist.Histogram, int, error) {
-	hog, err := stormConn(addr, req, 60_000)
-	if err != nil {
-		return nil, 0, fmt.Errorf("hog request: %w", err)
-	}
-	defer hog.Close()
-	select {
-	case <-entered:
-	case <-time.After(60 * time.Second):
-		return nil, 0, errors.New("hog request never reached the measurement slot")
-	}
-	opts.logf("storm: hog holds the measurement slot, forcing %d sheds", count)
-
-	// Each storm request takes the empty queue slot, waits out half its
-	// tiny propagated deadline and sheds; firing them sequentially keeps
-	// the shed tally exact.
-	sheds := 0
-	for i := 0; i < count; i++ {
-		if err := stormShed(addr, req); err != nil {
-			return nil, sheds, fmt.Errorf("storm request %d: %w", i+1, err)
-		}
-		sheds++
-	}
-
-	queued := srv.Stats().QueuedRequests
-	type fetched struct {
-		h   *memhist.Histogram
-		err error
-	}
-	got := make(chan fetched, 1)
-	go func() {
-		h, err := memhist.FetchRemoteWith(addr, req, memhist.FetchOptions{Timeout: timeout})
-		got <- fetched{h, err}
-	}()
-	deadline := time.Now().Add(60 * time.Second)
-	for srv.Stats().QueuedRequests == queued {
-		if time.Now().After(deadline) {
-			return nil, sheds, errors.New("brownout fetch never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if _, _, err := probenet.ReadFrame(hog); err != nil {
-		return nil, sheds, fmt.Errorf("hog response: %w", err)
-	}
-	r := <-got
-	if r.err != nil {
-		return nil, sheds, fmt.Errorf("brownout fetch: %w", r.err)
-	}
-	return r.h, sheds, nil
-}
-
-// stormConn dials the probe, consumes the HELLO and sends req with the
-// given propagated deadline, leaving the response unread.
-func stormConn(addr string, req memhist.ProbeRequest, timeoutMillis int64) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, 30*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	_ = conn.SetDeadline(time.Now().Add(90 * time.Second))
-	fail := func(err error) (net.Conn, error) {
-		conn.Close()
-		return nil, err
-	}
-	t, payload, err := probenet.ReadFrame(conn)
-	if err != nil {
-		return fail(err)
-	}
-	var hello probenet.Hello
-	if err := probenet.Decode(t, payload, &hello); err != nil {
-		return fail(err)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fail(err)
-	}
-	env := &probenet.Request{ID: 1, TimeoutMillis: timeoutMillis, Body: body}
-	if err := probenet.WriteFrame(conn, probenet.FrameRequest, env); err != nil {
-		return fail(err)
-	}
-	return conn, nil
-}
-
-// stormShed sends one storm request with a tiny propagated deadline and
-// requires the shed answer: an "overloaded" ERROR carrying a positive
-// retry-after hint.
-func stormShed(addr string, req memhist.ProbeRequest) error {
-	conn, err := stormConn(addr, req, 20)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	t, payload, err := probenet.ReadFrame(conn)
-	if err != nil {
-		return err
-	}
-	if t != probenet.FrameError {
-		return fmt.Errorf("answered with %s, want a shed ERROR", t)
-	}
-	var em probenet.ErrorMsg
-	if err := probenet.Decode(t, payload, &em); err != nil {
-		return err
-	}
-	if em.Code != probenet.CodeOverloaded {
-		return fmt.Errorf("shed with code %q, want %q", em.Code, probenet.CodeOverloaded)
-	}
-	if em.RetryAfterMillis <= 0 {
-		return errors.New("shed answer carried no retry-after hint")
-	}
-	return nil
 }
 
 // --- campaign stage: faultrun inside the supervised runner, faultdata

@@ -13,9 +13,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // goldenScenarios are the library entries whose reports are pinned
 // byte-for-byte. One per deterministic stage kind: a campaign with a
 // transient run fault, a collect under a perf throttle storm, a fleet
-// campaign surviving a probe crash, the two overload storms
-// (single-probe brownout + recovery, fleet backpressure), a journal
-// degraded by a full disk, and uniform PMU weather on a fleet.
+// campaign surviving a probe crash, a fleet overload storm
+// (backpressure deferrals), a journal degraded by a full disk, and
+// uniform PMU weather on a fleet.
 // Regenerate with
 //
 //	go test ./internal/scenario -run TestGoldenReports -update
@@ -26,7 +26,6 @@ var goldenScenarios = []string{
 	"run-transient-exit",
 	"perf-throttle-storm",
 	"fleet-probe-crash",
-	"overload-brownout-recovery",
 	"fleet-overload-storm",
 	"disk-journal-degraded",
 	"fleet-perf-weather",

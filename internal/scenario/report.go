@@ -113,19 +113,6 @@ type collectOutcomeRec struct {
 	Histogram      json.RawMessage `json:"histogram"`
 }
 
-// overloadOutcomeRec records the deterministic outcome of a fetch-mode
-// overload storm: the exact shed tally the engine forced, whether the
-// queued fetch was served at brownout fidelity with the honest render
-// marker, and the reduced-fidelity histogram itself.
-type overloadOutcomeRec struct {
-	Kind           string          `json:"kind"`
-	Stage          string          `json:"stage"`
-	Sheds          int             `json:"sheds"`
-	BrownoutServed bool            `json:"brownout_served"`
-	Marked         bool            `json:"marked"`
-	Histogram      json.RawMessage `json:"histogram"`
-}
-
 type fleetOutcomeRec struct {
 	Kind        string   `json:"kind"`
 	Stage       string   `json:"stage"`
@@ -227,9 +214,6 @@ func (r *Result) Summary() string {
 			fmt.Fprintf(&sb, "  %8s  assert  %s: %s (%s)\n", p.At, p.Action, verdict, p.Detail)
 		case fetchOutcomeRec:
 			fmt.Fprintf(&sb, "  outcome fetch: origin=%s matches_local=%v\n", p.Origin, p.MatchesLocal)
-		case overloadOutcomeRec:
-			fmt.Fprintf(&sb, "  outcome overload: sheds=%d brownout_served=%v marked=%v\n",
-				p.Sheds, p.BrownoutServed, p.Marked)
 		case campaignOutcomeRec:
 			fmt.Fprintf(&sb, "  outcome campaign: cells=%d retried=%d gaps=%d quarantined=%d complete=%v\n",
 				p.Cells, p.Retried, len(p.Gaps), len(p.Quarantined), p.Complete)

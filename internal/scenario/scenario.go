@@ -193,14 +193,6 @@ type FetchSpec struct {
 	Retries       int      `json:"retries,omitempty"`
 	Timeout       Duration `json:"timeout,omitempty"`
 	FallbackLocal bool     `json:"fallback_local,omitempty"`
-	// MaxInflight, QueueBudget and BrownoutAfter configure the probe
-	// server's request-level admission control (zero MaxInflight leaves
-	// it off, the legacy byte-identical path). The net.overload_storm
-	// action requires max_inflight: 1 so the storm's single hog request
-	// deterministically saturates the probe.
-	MaxInflight   int `json:"max_inflight,omitempty"`
-	QueueBudget   int `json:"queue_budget,omitempty"`
-	BrownoutAfter int `json:"brownout_after,omitempty"`
 }
 
 // CampaignSpec configures a "campaign" scenario: a supervised
@@ -514,18 +506,6 @@ func (f *FetchSpec) validate() error {
 	}
 	if f.Retries < 0 || f.Retries > 16 {
 		return &SpecError{Field: "fetch.retries", Msg: "must be in [0, 16]"}
-	}
-	if f.MaxInflight < 0 || f.MaxInflight > 64 {
-		return &SpecError{Field: "fetch.max_inflight", Msg: "must be in [0, 64]"}
-	}
-	if f.QueueBudget < 0 || f.QueueBudget > 64 {
-		return &SpecError{Field: "fetch.queue_budget", Msg: "must be in [0, 64]"}
-	}
-	if f.BrownoutAfter < 0 {
-		return &SpecError{Field: "fetch.brownout_after", Msg: "must be >= 0"}
-	}
-	if f.MaxInflight == 0 && (f.QueueBudget > 0 || f.BrownoutAfter > 0) {
-		return &SpecError{Field: "fetch.max_inflight", Msg: "queue_budget and brownout_after need max_inflight > 0"}
 	}
 	return nil
 }

@@ -216,7 +216,7 @@ func TestComparePlacements(t *testing.T) {
 	s := session(t, WithThreads(4))
 	// A SIFT stripe workload is locality sensitive: first-touch should
 	// beat bind-0 under scatter pinning.
-	rows, err := s.ComparePlacements(workloads.SIFT{Width: 128, Height: 128, Octaves: 2}, 1)
+	rows, err := s.ComparePlacements(workloads.SIFT{Width: 128, Height: 128, Octaves: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestComparePlacementsGUPS(t *testing.T) {
 	// GUPS with a table larger than the L3 is DRAM-bound and locality
 	// sensitive: compact pinning with locally-touched pages must win,
 	// and placement must matter measurably.
-	rows, err := s.ComparePlacements(workloads.GUPS{TableBytes: 64 << 20, Updates: 20_000}, 1)
+	rows, err := s.ComparePlacements(workloads.GUPS{TableBytes: 64 << 20, Updates: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ type PlacementResult struct {
 	Policy string
 	// Mapping is the thread pinning strategy name.
 	Mapping string
-	// Cycles is the mean makespan over the repetitions.
+	// Cycles is the makespan.
 	Cycles float64
-	// Seconds is the mean simulated wall time.
+	// Seconds is the simulated wall time.
 	Seconds float64
 	// LocalDRAMPct is the NUMA locality of DRAM loads (percent).
 	LocalDRAMPct float64
@@ -31,15 +31,13 @@ type PlacementResult struct {
 	Speedup float64
 }
 
-// ComparePlacements runs the workload under every combination of page
-// policy (first-touch, interleave, bind-0) and thread mapping (compact,
-// scatter), repeating each configuration reps times (one simulated run,
-// the others drawn from it by exec.Engine.Repeat), and returns the
-// results ordered fastest first with speedups relative to the slowest.
-func (s *Session) ComparePlacements(w Workload, reps int) ([]PlacementResult, error) {
-	if reps <= 0 {
-		reps = 1
-	}
+// ComparePlacements runs the workload once under every combination of
+// page policy (first-touch, interleave, bind-0) and thread mapping
+// (compact, scatter), and returns the results ordered fastest first
+// with speedups relative to the slowest. Every field comes from exact
+// counts, so a repeated run, which re-draws only the noise, would
+// change nothing.
+func (s *Session) ComparePlacements(w Workload) ([]PlacementResult, error) {
 	type variant struct {
 		name    string
 		policy  oslite.Policy
@@ -83,31 +81,22 @@ func (s *Session) ComparePlacements(w Workload, reps int) ([]PlacementResult, er
 		if err != nil {
 			return nil, fmt.Errorf("numaperf: %s/%s: %w", v.name, v.mapName, err)
 		}
-		var cycles, seconds, local, qpi float64
-		for r := 0; r < reps; r++ {
-			if r > 0 {
-				res = e.Repeat(res)
-			}
-			cycles += float64(res.Cycles)
-			seconds += res.Seconds
-			vals := metrics.Compute(res.Raw, res.Machine, res.Seconds)
-			if mv, ok := metrics.ByName(vals, "local-dram"); ok && mv.OK {
-				local += mv.V
-			} else {
-				local += 100 // no DRAM traffic at all counts as local
-			}
-			if mv, ok := metrics.ByName(vals, "qpi-bw"); ok && mv.OK {
-				qpi += mv.V
-			}
+		local := 100.0 // no DRAM traffic at all counts as local
+		var qpi float64
+		vals := metrics.Compute(res.Raw, res.Machine, res.Seconds)
+		if mv, ok := metrics.ByName(vals, "local-dram"); ok && mv.OK {
+			local = mv.V
 		}
-		n := float64(reps)
+		if mv, ok := metrics.ByName(vals, "qpi-bw"); ok && mv.OK {
+			qpi = mv.V
+		}
 		out = append(out, PlacementResult{
 			Policy:       v.name,
 			Mapping:      v.mapName,
-			Cycles:       cycles / n,
-			Seconds:      seconds / n,
-			LocalDRAMPct: local / n,
-			QPIGBs:       qpi / n,
+			Cycles:       float64(res.Cycles),
+			Seconds:      res.Seconds,
+			LocalDRAMPct: local,
+			QPIGBs:       qpi,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Cycles < out[j].Cycles })
