@@ -158,6 +158,26 @@ func TestRoutesPrintTheSameTable(t *testing.T) {
 	}
 }
 
+// TestPartialMeasurementIsNotCalledComplete: a multiplexed run too
+// short to give every event group a quantum leaves 31 of 57 events
+// without a sample. The summary names the partial point instead of
+// calling the campaign complete.
+func TestPartialMeasurementIsNotCalledComplete(t *testing.T) {
+	code, out, stderr := runCLI("-workload", "pointer-chase", "-machine", "2s", "-mode", "multiplexed", "-reps", "2")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(out, "0% cover") {
+		t.Fatalf("no row reads 0%% cover; the run no longer leaves events unsampled:\n%s", out)
+	}
+	if strings.Contains(out, "campaign: complete") {
+		t.Errorf("a partial measurement is called complete:\n%s", out)
+	}
+	if want := "partial: threads=1: 31 of 57 events carry fewer than 2 samples\n"; !strings.HasSuffix(out, want) {
+		t.Errorf("output does not end with %q:\n%s", want, out)
+	}
+}
+
 // table drops the campaign accounting lines, which differ between a
 // fresh and a replayed run by design.
 func table(out string) string {

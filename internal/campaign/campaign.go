@@ -17,12 +17,27 @@
 // crashes and resumes cannot change the final numbers, which is what
 // makes a resumed campaign byte-identical to an uninterrupted one.
 //
+// The cells of one sweep point differ only in that seed, which draws
+// their measurement noise, so a Run simulates each point once. The first
+// cell of a point to reach the simulator keeps its run; every later cell
+// of the point still builds its own engine and takes its run from
+// exec.Engine.Repeat on it, which returns exactly what simulating the
+// body on that engine would. A cell is still the unit of retry, timeout,
+// fault injection and journaling. A cell whose point is being simulated
+// waits for it, and the wait counts against the cell's RunTimeout; an
+// attempt abandoned on timeout may still finish the simulation and hand
+// it to the attempts after it. Only such wall-clock outcomes can differ
+// from simulating every cell. A resumed campaign simulates a point again
+// only if one of its cells is missing, and then once.
+//
 // That same independence makes cells safe to measure concurrently: with
 // Options.Concurrency > 1 a bounded worker pool executes cells while a
 // single committer consumes their outcomes re-sequenced into canonical
 // cell order, so the journal, the resume path, quarantine verdicts and
 // every rendered table stay byte-identical to a serial run at any
 // worker count — parallelism changes wall-clock time and nothing else.
+// Several workers take the first pending cell of every point before the
+// rest, so different points simulate in parallel.
 package campaign
 
 import (
@@ -56,7 +71,10 @@ const DefaultRunTimeout = 30 * time.Second
 // Point is one sweep setting: the parameter value and a constructor
 // producing a fresh engine and body for it. Mk is called once per run
 // cell with a cell-specific seed, which keeps every cell independent of
-// execution order — the resume invariant.
+// execution order — the resume invariant. Mk may use the seed only as
+// the engine's exec.Config.Seed, and the body must not depend on it: the
+// runner simulates one cell's body per point and gives every other cell
+// of the point a Repeat of that run on the cell's own engine.
 type Point struct {
 	Param float64
 	Mk    func(seed int64) (*exec.Engine, func(*exec.Thread), error)
@@ -127,7 +145,9 @@ type Options struct {
 	// Sleep replaces time.Sleep in tests.
 	Sleep func(time.Duration)
 	// Wrap decorates the cell run function; the faultrun package uses
-	// this to inject scripted run-level faults.
+	// this to inject scripted run-level faults. The function it wraps is
+	// the one that shares a point's simulation between the point's
+	// cells, so a wrapper still sees, and may fault, every cell.
 	Wrap Middleware
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -209,11 +229,15 @@ type Report struct {
 	JournalFault    string
 }
 
-// Complete reports whether every expected sample was measured.
+// Complete reports whether the campaign lost no cell and quarantined no
+// counter. A complete campaign's point can still be Partial: a screened
+// value, or a multiplexed run too short to give every group a quantum,
+// leaves an event with fewer than Reps samples.
 func (r *Report) Complete() bool { return len(r.Gaps) == 0 && len(r.Quarantined) == 0 }
 
 // Summary renders the supervision outcome for humans: cell accounting,
-// gaps and quarantine verdicts.
+// gaps and quarantine verdicts, and, when there are neither, the points
+// whose measurement is still partial.
 func (r *Report) Summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "campaign: %d cells (%d run, %d replayed from journal, %d retries)\n",
@@ -231,7 +255,25 @@ func (r *Report) Summary() string {
 	for _, q := range r.Quarantined {
 		fmt.Fprintf(&sb, "quarantined: %s after %d strikes: %s\n", q.Name, q.Strikes, q.Reason)
 	}
-	if r.Complete() {
+	if !r.Complete() {
+		return sb.String()
+	}
+	partial := false
+	for _, p := range r.Points {
+		if !p.M.Partial {
+			continue
+		}
+		partial = true
+		short := 0
+		for _, s := range p.M.Samples {
+			if len(s) < p.M.Reps {
+				short++
+			}
+		}
+		fmt.Fprintf(&sb, "partial: %s=%g: %d of %d events carry fewer than %d samples\n",
+			r.ParamName, p.Param, short, len(p.M.Samples), p.M.Reps)
+	}
+	if !partial {
 		sb.WriteString("campaign: complete, no gaps, no quarantined counters\n")
 	}
 	return sb.String()
@@ -258,6 +300,11 @@ func (r *Runner) validate() error {
 	}
 	if r.Spec.Reps <= 0 {
 		return errors.New("campaign: need at least one repetition")
+	}
+	switch r.Spec.Mode {
+	case perf.Batched, perf.Multiplexed, perf.Unlimited:
+	default:
+		return fmt.Errorf("campaign: unknown mode %v", r.Spec.Mode)
 	}
 	for i, p := range r.Spec.Points {
 		if p.Mk == nil {
@@ -304,34 +351,79 @@ func (r *Runner) cells(plans []pointPlan) []Cell {
 	return out
 }
 
-// defaultRun builds the real measurement RunFunc: fresh engine per
-// cell, seeded by the cell ordinal, executing one register batch
-// (Batched) or one full repetition (Unlimited/Multiplexed).
+// defaultRun builds the real measurement RunFunc. Every cell builds a
+// fresh engine seeded by its ordinal and reads one register batch
+// (Batched) or one full repetition (Unlimited/Multiplexed) from a run on
+// it. The first cell of a point to get here simulates the run; every
+// later cell of the point takes its run from Repeat on its own engine,
+// which draws that engine's noise and simulates nothing.
 func (r *Runner) defaultRun(plans []pointPlan) RunFunc {
+	memo := make([]pointRun, len(r.Spec.Points))
 	return func(c Cell) (map[counters.EventID]float64, error) {
-		p := r.Spec.Points[c.Point]
-		e, body, err := p.Mk(r.Spec.Seed + int64(c.Index) + 1)
+		e, body, err := r.Spec.Points[c.Point].Mk(r.Spec.Seed + int64(c.Index) + 1)
 		if err != nil {
 			return nil, err
 		}
 		if r.Opts.OpBudget > 0 {
 			e.SetOpBudget(r.Opts.OpBudget)
 		}
-		if r.Spec.Mode == perf.Batched {
-			return perf.RunVisible(e, body, plans[c.Point].visible(c.Batch))
-		}
-		m, err := perf.Measure(e, body, r.Spec.Events, 1, r.Spec.Mode)
+		res, mux, err := memo[c.Point].get(e, func() (*exec.Result, *perf.MuxRun, error) {
+			if r.Spec.Mode != perf.Multiplexed {
+				res, err := e.Run(body)
+				return res, nil, err
+			}
+			mux, err := perf.RunMultiplexed(e, body, r.Spec.Events)
+			if err != nil {
+				return nil, nil, err
+			}
+			return mux.Result, mux, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[counters.EventID]float64, len(m.Samples))
-		for id, s := range m.Samples {
-			if len(s) > 0 {
-				out[id] = s[0]
-			}
+		if mux != nil {
+			return mux.Read(res), nil
+		}
+		visible := plans[c.Point].visible(c.Batch)
+		out := make(map[counters.EventID]float64, len(visible))
+		for _, id := range visible {
+			out[id] = float64(res.Total.Get(id))
 		}
 		return out, nil
 	}
+}
+
+// pointRun is the one simulated run of a sweep point, or the op-budget
+// abort that stops every cell of it. It keeps no other failure: the next
+// cell of the point simulates again.
+type pointRun struct {
+	mu  sync.Mutex
+	res *exec.Result
+	mux *perf.MuxRun // the group samples, in Multiplexed mode
+	err error
+}
+
+// get returns a cell's run and, in Multiplexed mode, the point's group
+// samples: the simulated run when the cell is the point's first to get
+// here, otherwise a Repeat of it on the cell's own engine e. A cell
+// waits while another simulates the point.
+func (p *pointRun) get(e *exec.Engine, simulate func() (*exec.Result, *perf.MuxRun, error)) (*exec.Result, *perf.MuxRun, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.err != nil:
+		return nil, nil, p.err
+	case p.res != nil:
+		return e.Repeat(p.res), p.mux, nil
+	}
+	res, mux, err := simulate()
+	switch {
+	case err == nil:
+		p.res, p.mux = res, mux
+	case errors.Is(err, exec.ErrOpBudget):
+		p.err = err
+	}
+	return res, mux, err
 }
 
 // header describes the spec for journal verification.
@@ -494,8 +586,18 @@ func (r *Runner) Run() (*Report, error) {
 	// goroutine that journals, records, strikes and accounts, consuming
 	// outcomes re-sequenced into canonical cell order — so every byte of
 	// journal and report is independent of worker count and scheduling.
-	// Concurrency ≤ 1 takes the same path with a single worker.
-	var toRun []Cell
+	// Concurrency ≤ 1 takes the same path with a single worker. Several
+	// workers get the first pending cell of every point before the rest:
+	// a point's first cell simulates while its later cells wait for it,
+	// so this order keeps different points simulating in parallel. A
+	// single worker gains nothing from it and takes the canonical order,
+	// which commits each point's cells as soon as it is simulated.
+	workers := r.Opts.Concurrency
+	if workers < 1 {
+		workers = 1
+	}
+	var toRun, later []Cell
+	first := make([]bool, len(r.Spec.Points))
 	for _, c := range cells {
 		if state != nil {
 			key := c.Key()
@@ -506,12 +608,14 @@ func (r *Runner) Run() (*Report, error) {
 				continue
 			}
 		}
+		if workers > 1 && first[c.Point] {
+			later = append(later, c)
+			continue
+		}
+		first[c.Point] = true
 		toRun = append(toRun, c)
 	}
-	workers := r.Opts.Concurrency
-	if workers < 1 {
-		workers = 1
-	}
+	toRun = append(toRun, later...)
 	if workers > len(toRun) {
 		workers = len(toRun)
 	}

@@ -127,6 +127,7 @@ func TestRunnerValidate(t *testing.T) {
 		{"no points", func(s *Spec) { s.Points = nil }},
 		{"no events", func(s *Spec) { s.Events = nil }},
 		{"zero reps", func(s *Spec) { s.Reps = 0 }},
+		{"unknown mode", func(s *Spec) { s.Mode = perf.Mode(7) }},
 		{"nil mk", func(s *Spec) { s.Points = []Point{{Param: 1}} }},
 	}
 	for _, tc := range cases {

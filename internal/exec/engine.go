@@ -307,7 +307,11 @@ func (e *Engine) Run(body func(t *Thread)) (res *Result, err error) {
 // Regions) are prev's own, shared and read-only. No chunk is
 // simulated, so neither the post-chunk hook nor the load observer
 // fires, and Proc still returns the last simulated run's process. prev
-// must come from this engine's Run or Repeat since its last Reseed.
+// must come from this engine's Run or Repeat since its last Reseed, or
+// from a run of the same body on an engine whose configuration differs
+// only in Seed: the exact fields do not depend on the seed, so Repeat
+// then returns what this engine's Run would. The campaign runner relies
+// on that to simulate a sweep point once for all of its cells.
 func (e *Engine) Repeat(prev *Result) *Result {
 	e.runs++
 	res := *prev

@@ -98,3 +98,34 @@ func kind(i, k int) string {
 		return "later Run"
 	}
 }
+
+// TestRepeatOfAnotherSeedMatchesRun: a Repeat of a run taken on an
+// engine that differs only in its seed equals the first Run of this
+// engine's body, field for field, because the seed drives only the
+// noise. The campaign runner gives every cell of a sweep point such a
+// Repeat of the point's one simulated run.
+func TestRepeatOfAnotherSeedMatchesRun(t *testing.T) {
+	for _, name := range topology.MachineNames() {
+		mach, _ := topology.ByName(name)
+		for _, threads := range []int{1, 2} {
+			engine := func(seed int64) *exec.Engine {
+				e, err := exec.NewEngine(exec.Config{Machine: mach, Threads: threads, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			simulated, err := engine(11).Run(regionBody)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := engine(29).Run(regionBody)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := differingField(engine(29).Repeat(simulated), want); f != "" {
+				t.Errorf("%s, %d threads: a Repeat of seed 11's run on a seed-29 engine differs from its Run in %s", name, threads, f)
+			}
+		}
+	}
+}

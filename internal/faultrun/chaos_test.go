@@ -315,3 +315,29 @@ func TestChaosParallelOverlap(t *testing.T) {
 }
 
 var noSleepFn = func(time.Duration) {}
+
+// TestScreenedValueLeavesSummaryPartial: a corrupt value screened from
+// one cell leaves one event a sample short with neither a gap nor a
+// quarantine verdict. The campaign is still Complete, since it lost no
+// cell, but its summary names the partial point instead of calling the
+// campaign complete.
+func TestScreenedValueLeavesSummaryPartial(t *testing.T) {
+	script := NewScript().On("p0/r0/b0", Fault{Kind: Corrupt, Times: 1})
+	rep, err := (&campaign.Runner{Spec: chaosSpec(2), Opts: campaign.Options{
+		Sleep: noSleepFn,
+		Wrap:  script.Wrap,
+	}}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Complete() || !rep.Points[0].M.Partial {
+		t.Fatalf("complete %v, partial %v; want a complete campaign with a partial point", rep.Complete(), rep.Points[0].M.Partial)
+	}
+	sum := rep.Summary()
+	if strings.Contains(sum, "campaign: complete") {
+		t.Errorf("a partial measurement is called complete:\n%s", sum)
+	}
+	if want := "partial: threads=1: 1 of 4 events carry fewer than 2 samples\n"; !strings.HasSuffix(sum, want) {
+		t.Errorf("summary does not end with %q:\n%s", want, sum)
+	}
+}

@@ -62,8 +62,8 @@ type Measurement struct {
 	Samples map[counters.EventID][]float64
 	// Runs is the number of program executions the method takes:
 	// reps × batches when batched, reps otherwise. Measure simulates one
-	// of them and draws the others from it (exec.Engine.Repeat); a
-	// campaign simulates every run it counts.
+	// of them and draws the others from it (exec.Engine.Repeat); so does
+	// a campaign, once per sweep point and session.
 	Runs int
 	// Batches is the number of register batches per repetition.
 	Batches int
@@ -154,8 +154,8 @@ func batchesOf(ids []counters.EventID, size int) [][]counters.EventID {
 // BatchPlan is the register-batch decomposition of an event set: which
 // events are visible in which of the repeated runs EvSel schedules. It
 // is exported so the campaign layer can decompose a measurement into
-// individually retryable run cells that reproduce exactly what
-// measureBatched would have done in one piece.
+// individually retryable run cells that reproduce exactly what Measure's
+// batched loop does in one piece.
 type BatchPlan struct {
 	// Fixed are the fixed and software events, readable in every run.
 	Fixed []counters.EventID
@@ -204,21 +204,6 @@ func (p BatchPlan) Visible(b int) []counters.EventID {
 		out = append(out, p.Uncore[b]...)
 	}
 	return out
-}
-
-// RunVisible performs one program run and reads the given events from
-// the final counter state — one register batch of one repetition. This
-// is the unit of work a campaign cell executes.
-func RunVisible(e *exec.Engine, body func(*exec.Thread), visible []counters.EventID) (map[counters.EventID]float64, error) {
-	res, err := e.Run(body)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[counters.EventID]float64, len(visible))
-	for _, id := range visible {
-		out[id] = float64(res.Total.Get(id))
-	}
-	return out, nil
 }
 
 // Measure runs the body under the engine repeatedly and collects `reps`
@@ -286,16 +271,33 @@ func measureRepeated(e *exec.Engine, body func(*exec.Thread), batches [][]counte
 	return m, nil
 }
 
-// measureMultiplexed rotates event groups during a run using the
-// engine's post-chunk hook, attributing counter deltas to the group
-// active in each quantum and scaling by the duty cycle at the end —
-// perf's default behaviour when events exceed registers. The rotation
-// follows the exact counters, so it is the same in every repetition:
-// it runs once, and each repetition reuses its group samples and reads
-// the fixed events from its own run (exec.Engine.Repeat). An event whose
-// group never got a quantum keeps its key but has no sample, so
-// Coverage reports the gap.
-func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, m *Measurement) (*Measurement, error) {
+// MuxRun is one simulated run in Multiplexed mode: its result and the
+// samples of the event groups that rotated on the registers during it.
+// The rotation follows the exact counters, so the group samples are the
+// same in every run of the body whatever the engine's seed; only the
+// fixed events, read from each run's own Total, carry noise.
+type MuxRun struct {
+	// Result is the simulated run.
+	Result *exec.Result
+	groups int // rotation groups (Measurement.Batches)
+	muxed  []muxSample
+	// unseen are the events whose group never got a quantum: they have
+	// no sample, so Coverage reports the gap.
+	unseen []counters.EventID
+	fixed  []counters.EventID
+}
+
+type muxSample struct {
+	id counters.EventID
+	v  float64
+}
+
+// RunMultiplexed simulates body once on e, rotating event groups on the
+// registers with the engine's post-chunk hook: it attributes counter
+// deltas to the group active in each quantum and scales each group by
+// its duty cycle at the end — perf's default behaviour when events
+// exceed registers.
+func RunMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counters.EventID) (*MuxRun, error) {
 	fixed, core, uncore := splitByDomain(events)
 	k := e.Config().Machine.PMU.ProgrammableCounters
 	groups := batchesOf(core, k)
@@ -308,7 +310,6 @@ func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counte
 	if nGroups == 0 {
 		nGroups = 1
 	}
-	m.Batches = nGroups
 
 	acc := make([]float64, counters.NumEvents) // per-event accumulated counts while visible
 	quanta := make([]uint64, nGroups)          // quanta observed per group
@@ -355,11 +356,7 @@ func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counte
 	for _, q := range quanta {
 		totalQuanta += q
 	}
-	type sample struct {
-		id counters.EventID
-		v  float64
-	}
-	var muxed []sample
+	mr := &MuxRun{Result: res, groups: nGroups, fixed: fixed}
 	for gi := 0; gi < nGroups; gi++ {
 		var ids []counters.EventID
 		if gi < len(groups) {
@@ -369,26 +366,55 @@ func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counte
 			ids = append(ids, ugroups[gi]...)
 		}
 		if quanta[gi] == 0 {
-			for _, id := range ids {
-				m.Samples[id] = nil
-				m.Partial = true
-			}
+			mr.unseen = append(mr.unseen, ids...)
 			continue
 		}
 		scale := float64(totalQuanta) / float64(quanta[gi])
 		for _, id := range ids {
-			muxed = append(muxed, sample{id, acc[id] * scale})
+			mr.muxed = append(mr.muxed, muxSample{id, acc[id] * scale})
 		}
 	}
+	return mr, nil
+}
+
+// Read returns the samples of one repetition whose run is res, a run of
+// the same body: Result itself or a Repeat of it, on this engine or on
+// another that differs only in its seed. The map is the caller's own.
+func (mr *MuxRun) Read(res *exec.Result) map[counters.EventID]float64 {
+	out := make(map[counters.EventID]float64, len(mr.muxed)+len(mr.fixed))
+	for _, s := range mr.muxed {
+		out[s.id] = s.v
+	}
+	for _, id := range mr.fixed {
+		out[id] = float64(res.Total.Get(id))
+	}
+	return out
+}
+
+// measureMultiplexed takes m.Reps repetitions of a multiplexed run. The
+// rotation is the same in every repetition, so it runs once
+// (RunMultiplexed), and each repetition reuses its group samples and
+// reads the fixed events from its own run (exec.Engine.Repeat).
+func measureMultiplexed(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, m *Measurement) (*Measurement, error) {
+	mr, err := RunMultiplexed(e, body, events)
+	if err != nil {
+		return nil, err
+	}
+	m.Batches = mr.groups
+	for _, id := range mr.unseen {
+		m.Samples[id] = nil
+		m.Partial = true
+	}
+	res := mr.Result
 	for r := 0; r < m.Reps; r++ {
 		if r > 0 {
 			res = e.Repeat(res)
 		}
 		m.Runs++
-		for _, s := range muxed {
+		for _, s := range mr.muxed {
 			m.Samples[s.id] = append(m.Samples[s.id], s.v)
 		}
-		for _, id := range fixed {
+		for _, id := range mr.fixed {
 			m.Samples[id] = append(m.Samples[id], float64(res.Total.Get(id)))
 		}
 	}

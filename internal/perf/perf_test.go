@@ -407,7 +407,9 @@ func TestPlanBatchesEmptyAndUncore(t *testing.T) {
 }
 
 // TestRunVisibleMatchesMeasureBatched: driving the exported plan cell
-// by cell reproduces what measureBatched assembles in one piece.
+// by cell, one simulated run per batch as a campaign once did with the
+// reference RunVisible (refmeasure_test.go), reproduces what Measure's
+// batched loop assembles from one simulated run.
 func TestRunVisibleMatchesMeasureBatched(t *testing.T) {
 	events := []counters.EventID{
 		counters.AllLoads, counters.L1Hit, counters.L1Miss, counters.L2Hit,

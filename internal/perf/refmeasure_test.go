@@ -17,6 +17,23 @@ import (
 // again for every batch of every repetition. TestMeasureMatchesReference
 // holds Measure to them.
 
+// RunVisible is kept verbatim from when it was a campaign cell's unit of
+// work, before a campaign simulated each sweep point once.
+// RunVisible performs one program run and reads the given events from
+// the final counter state — one register batch of one repetition. This
+// is the unit of work a campaign cell executes.
+func RunVisible(e *exec.Engine, body func(*exec.Thread), visible []counters.EventID) (map[counters.EventID]float64, error) {
+	res, err := e.Run(body)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[counters.EventID]float64, len(visible))
+	for _, id := range visible {
+		out[id] = float64(res.Total.Get(id))
+	}
+	return out, nil
+}
+
 // refMeasure is Measure as it was, on the reference loops.
 func refMeasure(e *exec.Engine, body func(*exec.Thread), events []counters.EventID, reps int, mode Mode) (*Measurement, error) {
 	switch mode {
