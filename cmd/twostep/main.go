@@ -55,9 +55,10 @@ func main() {
 }
 
 // run is main without the process-global parts so tests can drive every
-// exit path: 0 on success, 1 when the family, a machine or a training
-// size is unknown, a collection phase or the strategy fails, or -strict
-// meets a hard caveat, 2 for a usage error.
+// exit path: 0 on success, 1 when the family or a machine is unknown, a
+// training or target size is not a whole number ≥ 1, a collection phase
+// or the strategy fails, or -strict meets a hard caveat, 2 for a usage
+// error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("twostep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -107,7 +108,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("bad training size %q: %v", s, err)
 		}
+		if !wholeSize(v) {
+			return fail("bad training size %q: %s", s, wantSize)
+		}
 		trainSizes = append(trainSizes, v)
+	}
+	if !wholeSize(*target) {
+		return fail("bad target size %g: %s", *target, wantSize)
 	}
 
 	// Each collection phase (training, calibration, truth) runs under
@@ -192,6 +199,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// wantSize states the sizes wholeSize accepts.
+const wantSize = "want a whole number from 1 to 2^63-1"
+
+// wholeSize reports whether every family measures size v as given: each
+// converts it with int(), and a size below 1 selects the workload's
+// default size.
+func wholeSize(v float64) bool {
+	return v >= 1 && v < math.MaxInt64 && v == math.Trunc(v)
 }
 
 // resultOf reconstructs a minimal result view for Characterize from a

@@ -30,6 +30,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown machine", []string{"-machine", "mystery"}, 1, "", `unknown machine "mystery"`},
 		{"unknown transfer machine", with("-transfer", "mystery"), 1, "", `unknown transfer machine "mystery"`},
 		{"bad training size", []string{"-train", "512,x"}, 1, "", `bad training size "x"`},
+		{"fractional training size", []string{"-family", "sort", "-train", "0.5,128,256"}, 1, "", `bad training size "0.5"`},
+		{"negative target", []string{"-family", "triad", "-train", "512,1024,2048,4096", "-target", "-5", "-machine", "2s", "-reps", "1"},
+			1, "", "bad target size -5"},
 		{"too few sizes", []string{"-family", "chase", "-train", "512", "-machine", "2s", "-reps", "1"}, 1,
 			"training chase", "building strategy: core: no usable indicators found"},
 		{"run timeout", with("-run-timeout", "1ns", "-max-retries", "0"), 1, "", "training: campaign: run timed out"},

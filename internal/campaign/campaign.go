@@ -32,12 +32,16 @@
 //
 // That same independence makes cells safe to measure concurrently: with
 // Options.Concurrency > 1 a bounded worker pool executes cells while a
-// single committer consumes their outcomes re-sequenced into canonical
-// cell order, so the journal, the resume path, quarantine verdicts and
-// every rendered table stay byte-identical to a serial run at any
-// worker count — parallelism changes wall-clock time and nothing else.
-// Several workers take the first pending cell of every point before the
-// rest, so different points simulate in parallel.
+// single committer consumes their outcomes in canonical cell order, so
+// the journal, the resume path, quarantine verdicts and every rendered
+// table stay byte-identical to a serial run at any worker count —
+// parallelism changes wall-clock time and nothing else. A free worker
+// takes the lowest pending cell of a point that has already returned a
+// cell, else the first cell of the lowest point no worker has started,
+// else the lowest pending cell (Pool). One worker thus runs the
+// canonical order; several simulate different points at once, and a
+// simulated point's other cells run before another point starts, so
+// they are journaled as soon as the points before them are.
 package campaign
 
 import (
@@ -110,13 +114,16 @@ type Options struct {
 	// *CampaignError (the journal keeping everything completed so far).
 	KeepGoing bool
 	// Concurrency is the number of cells measured at once (≤ 1 =
-	// serial). Every cell runs on its own engine and outcomes are
-	// committed in canonical cell order by a single goroutine, so the
-	// journal, resume behaviour, quarantine verdicts and every rendered
-	// table are byte-identical at any setting — only wall-clock time
-	// changes. Each cell's retry backoff is seeded BackoffSeed + cell
-	// ordinal, keeping retry delays reproducible regardless of worker
-	// scheduling.
+	// serial). Workers take cells by Pool's rule, with each sweep point
+	// a group: one worker runs the canonical order, and several start
+	// different points at once but run out a simulated point's cells
+	// before starting another. Every cell runs on its own engine and
+	// outcomes are committed in canonical cell order by a single
+	// goroutine, so the journal, resume behaviour, quarantine verdicts
+	// and every rendered table are byte-identical at any setting — only
+	// wall-clock time changes. Each cell's retry backoff is seeded
+	// BackoffSeed + cell ordinal, keeping retry delays reproducible
+	// regardless of worker scheduling.
 	Concurrency int
 	// JournalPath enables the crash journal; empty runs in memory only.
 	JournalPath string
@@ -175,13 +182,11 @@ type RunFunc func(Cell) (map[counters.EventID]float64, error)
 // pool workers at once and must be safe for concurrent use.
 type Middleware func(RunFunc) RunFunc
 
-// cellOutcome carries one executed cell from a pool worker to the
-// committer.
+// cellOutcome is what a pool worker hands the committer for one
+// executed cell, beside the cell's final error.
 type cellOutcome struct {
-	cell     Cell
 	samples  map[counters.EventID]float64
 	attempts int
-	err      error
 }
 
 // Gap is a typed hole in the campaign's data: a cell that was given up
@@ -530,18 +535,6 @@ func (r *Runner) Run() (*Report, error) {
 	case maxRetries < 0:
 		maxRetries = 0
 	}
-	// Every cell gets its own supervisor whose backoff stream is seeded
-	// by the cell ordinal: retry delays depend only on the cell, never
-	// on which worker ran it or in what order.
-	mkSup := func(c Cell) *Supervisor {
-		return &Supervisor{
-			Timeout:    timeout,
-			MaxRetries: maxRetries,
-			Backoff:    probenet.NewBackoff(0, 0, r.Opts.BackoffSeed+int64(c.Index)),
-			Sleep:      r.Opts.Sleep,
-		}
-	}
-
 	rep := &Report{ParamName: r.Spec.ParamName, Cells: len(cells)}
 	if state != nil {
 		rep.Truncated = state.truncated
@@ -581,23 +574,17 @@ func (r *Runner) Run() (*Report, error) {
 		}
 	}
 
-	// Cells the journal does not already satisfy go to a bounded worker
-	// pool. Workers only execute; the commit loop below is the sole
-	// goroutine that journals, records, strikes and accounts, consuming
-	// outcomes re-sequenced into canonical cell order — so every byte of
-	// journal and report is independent of worker count and scheduling.
-	// Concurrency ≤ 1 takes the same path with a single worker. Several
-	// workers get the first pending cell of every point before the rest:
-	// a point's first cell simulates while its later cells wait for it,
-	// so this order keeps different points simulating in parallel. A
-	// single worker gains nothing from it and takes the canonical order,
-	// which commits each point's cells as soon as it is simulated.
-	workers := r.Opts.Concurrency
-	if workers < 1 {
-		workers = 1
-	}
-	var toRun, later []Cell
-	first := make([]bool, len(r.Spec.Points))
+	// Cells the journal does not already satisfy go to the worker pool,
+	// grouped by sweep point: a point's first cell simulates it and its
+	// later cells wait for that run, so the pool starts different points
+	// on different workers and runs out a simulated point's cells before
+	// it starts another (see Pool). Workers only execute; the commit loop
+	// below is the sole goroutine that journals, records, strikes and
+	// accounts, consuming outcomes in canonical cell order — so every
+	// byte of journal and report is independent of worker count and
+	// scheduling.
+	var toRun []Cell
+	var points []int
 	for _, c := range cells {
 		if state != nil {
 			key := c.Key()
@@ -608,62 +595,26 @@ func (r *Runner) Run() (*Report, error) {
 				continue
 			}
 		}
-		if workers > 1 && first[c.Point] {
-			later = append(later, c)
-			continue
-		}
-		first[c.Point] = true
 		toRun = append(toRun, c)
+		points = append(points, c.Point)
 	}
-	toRun = append(toRun, later...)
-	if workers > len(toRun) {
-		workers = len(toRun)
-	}
-
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	defer halt()
-
-	jobs := make(chan Cell)
-	// Buffered for every dispatchable cell so workers never block on a
-	// departed committer: after an abort, in-flight cells finish into
-	// the buffer and their goroutines exit without leaking.
-	results := make(chan cellOutcome, len(toRun))
-	go func() {
-		defer close(jobs)
-		for _, c := range toRun {
-			select {
-			case jobs <- c:
-			case <-stop:
-				return
-			}
+	pool := NewPool(points, r.Opts.Concurrency, func(i int) (cellOutcome, error) {
+		c := toRun[i]
+		// Every cell gets its own supervisor whose backoff stream is
+		// seeded by the cell ordinal: retry delays depend only on the
+		// cell, never on which worker ran it or in what order.
+		sup := &Supervisor{
+			Timeout:    timeout,
+			MaxRetries: maxRetries,
+			Backoff:    probenet.NewBackoff(0, 0, r.Opts.BackoffSeed+int64(c.Index)),
+			Sleep:      r.Opts.Sleep,
 		}
-	}()
-	for w := 0; w < workers; w++ {
-		go func() {
-			for c := range jobs {
-				out, attempts, err := Do(mkSup(c), func() (map[counters.EventID]float64, error) {
-					return run(c)
-				})
-				results <- cellOutcome{cell: c, samples: out, attempts: attempts, err: err}
-			}
-		}()
-	}
-
-	// await returns the outcome of the cell with the given ordinal,
-	// parking outcomes that arrive out of order until their turn.
-	pending := make(map[int]cellOutcome, workers)
-	await := func(idx int) cellOutcome {
-		for {
-			if o, ok := pending[idx]; ok {
-				delete(pending, idx)
-				return o
-			}
-			o := <-results
-			pending[o.cell.Index] = o
-		}
-	}
+		out, attempts, err := Do(sup, func() (map[counters.EventID]float64, error) {
+			return run(c)
+		})
+		return cellOutcome{samples: out, attempts: attempts}, err
+	})
+	defer pool.Stop()
 
 	for _, c := range cells {
 		key := c.Key()
@@ -684,10 +635,10 @@ func (r *Runner) Run() (*Report, error) {
 			}
 		}
 
-		o := await(c.Index)
+		o, err := pool.Next()
 		rep.Retried += o.attempts - 1
-		if o.err != nil {
-			cerr := &CellError{Cell: c, Attempts: o.attempts, Err: o.err}
+		if err != nil {
+			cerr := &CellError{Cell: c, Attempts: o.attempts, Err: err}
 			if !r.Opts.KeepGoing {
 				// Aborting here leaves the journal a clean prefix of the
 				// serial journal: later cells may have executed on other

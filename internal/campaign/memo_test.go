@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -148,12 +149,13 @@ func TestEachPointSimulatesOnce(t *testing.T) {
 	})
 }
 
-// TestPointsSimulateInParallel: the pool takes the first cell of every
-// point before the rest, so two points simulate at once even when each
-// has later cells waiting for its run. Each point's body meets the
-// other point's body at a rendezvous; with cells dispatched in canonical
-// order both workers would hold cells of point 0, and its body would
-// wait out the bound.
+// TestPointsSimulateInParallel: a free worker starts a point no worker
+// has started before it takes a cell that would wait for a running
+// simulation, so two points simulate at once even when each has later
+// cells waiting for its run. Each point's body meets the other point's
+// body at a rendezvous; with cells dispatched in canonical order both
+// workers would hold cells of point 0, and its body would wait out the
+// bound.
 func TestPointsSimulateInParallel(t *testing.T) {
 	const bound = 10 * time.Second
 	arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
@@ -185,6 +187,79 @@ func TestPointsSimulateInParallel(t *testing.T) {
 	}
 	if stalled.Load() {
 		t.Errorf("a point's body waited %s for the other point's: the points did not simulate in parallel", bound)
+	}
+}
+
+// TestSimulatedPointCommitsBeforeNextPointStarts: a worker that has
+// returned a point's first cell runs the point's other cells before it
+// starts a new point, so a simulated point is journaled while another
+// point still simulates. Two workers take points 0 and 1; point 1's body
+// blocks until a cell of point 2 is handed out, so until then one worker
+// is free, and it must run out point 0 first. Handing out each point's
+// first cell before the rest would start point 2 after point 0's first
+// cell.
+func TestSimulatedPointCommitsBeforeNextPointStarts(t *testing.T) {
+	const bound = 10 * time.Second
+	var stalled atomic.Bool
+	spec := func(release <-chan struct{}) Spec {
+		point := func(p int) Point {
+			return Point{
+				Param: float64(p + 1),
+				Mk: func(seed int64) (*exec.Engine, func(*exec.Thread), error) {
+					e, err := exec.NewEngine(exec.Config{Machine: topology.TwoSocket(), Threads: 1, Seed: seed})
+					return e, func(t *exec.Thread) {
+						if p == 1 {
+							select {
+							case <-release:
+							case <-time.After(bound):
+								stalled.Store(true)
+							}
+						}
+						scanBody(t)
+					}, err
+				},
+			}
+		}
+		return testSpec(point(0), point(1), point(2), point(3))
+	}
+	released := make(chan struct{})
+	close(released)
+	refRep, refJnl := runAt(t, spec(released), 1, Options{})
+	perPoint := int64(refRep.Cells / 4)
+	if perPoint < 2 {
+		t.Fatalf("%d cells per point, want at least 2", perPoint)
+	}
+
+	release := make(chan struct{})
+	var once sync.Once
+	var point0Returned, point0AtPoint2 atomic.Int64
+	wrap := func(next RunFunc) RunFunc {
+		return func(c Cell) (map[counters.EventID]float64, error) {
+			if c.Point == 2 {
+				once.Do(func() {
+					point0AtPoint2.Store(point0Returned.Load())
+					close(release)
+				})
+			}
+			out, err := next(c)
+			if c.Point == 0 {
+				point0Returned.Add(1)
+			}
+			return out, err
+		}
+	}
+	rep, jnl := runAt(t, spec(release), 2, Options{Wrap: wrap})
+	if got := point0AtPoint2.Load(); got != perPoint {
+		t.Errorf("point 2 was handed out when %d of point 0's %d cells had returned, want all", got, perPoint)
+	}
+	if stalled.Load() {
+		t.Errorf("point 1's body waited %s: no cell of point 2 was handed out while point 1 simulated", bound)
+	}
+	if !bytes.Equal(jnl, refJnl) {
+		t.Errorf("journal differs from serial run:\ngot:\n%s\nwant:\n%s", jnl, refJnl)
+	}
+	if view, refView := renderAll(t, rep), renderAll(t, refRep); !bytes.Equal(view, refView) {
+		t.Errorf("rendered report differs from serial run:\ngot:\n%s\nwant:\n%s", view, refView)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
 	"numaperf/internal/exec"
 	"numaperf/internal/linalg"
@@ -50,63 +50,34 @@ func CollectTraining(params []float64, reps int,
 }
 
 // CollectTrainingParallel is CollectTraining with up to workers
-// parameter values measured concurrently. Each parameter runs on its
-// own engine built by mk, so the training points — and any error — are
-// identical to the serial collection at any worker count; only
-// wall-clock time changes. mk must therefore be safe to call from
-// multiple goroutines (building a fresh engine per call, as the
-// twostep collectors do, satisfies this).
+// parameter values measured concurrently, on the campaign's worker pool
+// with each parameter its own group. Each parameter runs on its own
+// engine built by mk and the points are taken in parameter order, so
+// the training points — and the first error in parameter order — are
+// identical at any worker count; only wall-clock time changes. A panic
+// while measuring a parameter is that parameter's error. mk must be
+// safe to call from multiple goroutines (building a fresh engine per
+// call, as the twostep collectors do, satisfies this).
 func CollectTrainingParallel(params []float64, reps, workers int,
 	mk func(param float64) (*exec.Engine, func(*exec.Thread), error)) ([]TrainingPoint, error) {
 	if len(params) == 0 || reps <= 0 {
 		return nil, errors.New("core: empty training request")
 	}
-	if workers > len(params) {
-		workers = len(params)
+	groups := make([]int, len(params))
+	for i := range groups {
+		groups[i] = i
 	}
-	if workers <= 1 {
-		var out []TrainingPoint
-		for _, p := range params {
-			pts, err := collectParam(p, reps, mk)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pts...)
-		}
-		return out, nil
-	}
-
-	type paramResult struct {
-		pts []TrainingPoint
-		err error
-	}
-	results := make([]paramResult, len(params))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pts, err := collectParam(params[i], reps, mk)
-				results[i] = paramResult{pts: pts, err: err}
-			}
-		}()
-	}
-	for i := range params {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Reassemble in parameter order; on failure report the error the
-	// serial collection would have hit first.
+	pool := campaign.NewPool(groups, workers, func(i int) ([]TrainingPoint, error) {
+		return collectParam(params[i], reps, mk)
+	})
+	defer pool.Stop()
 	var out []TrainingPoint
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	for range params {
+		pts, err := pool.Next()
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, r.pts...)
+		out = append(out, pts...)
 	}
 	return out, nil
 }

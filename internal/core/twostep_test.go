@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"numaperf/internal/campaign"
 	"numaperf/internal/counters"
 	"numaperf/internal/exec"
 	"numaperf/internal/topology"
@@ -54,9 +56,10 @@ func TestCollectTraining(t *testing.T) {
 }
 
 func TestCollectTrainingParallelEquivalence(t *testing.T) {
-	// The parallel collector must produce exactly the serial points —
-	// same order, same counts, same cycles — because every parameter
-	// runs on its own deterministically seeded engine.
+	// The pooled collector must produce exactly the points of a serial
+	// walk over the parameters — same order, same counts, same cycles —
+	// at any worker count, because every parameter runs on its own
+	// deterministically seeded engine.
 	params := []float64{1024, 2048, 4096, 8192}
 	mk := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
 		e, err := exec.NewEngine(exec.Config{Machine: topology.TwoSocket(), Threads: 1, Seed: 17})
@@ -65,11 +68,15 @@ func TestCollectTrainingParallelEquivalence(t *testing.T) {
 		}
 		return e, workloads.Triad{Elements: int(p)}.Body(), nil
 	}
-	ref, err := CollectTraining(params, 2, mk)
-	if err != nil {
-		t.Fatal(err)
+	var ref []TrainingPoint
+	for _, p := range params {
+		pts, err := collectParam(p, 2, mk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, pts...)
 	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		got, err := CollectTrainingParallel(params, 2, workers, mk)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -90,8 +97,12 @@ func TestCollectTrainingParallelEquivalence(t *testing.T) {
 		}
 	}
 	// A failing parameter reports the error the serial walk would hit
-	// first, regardless of worker scheduling.
+	// first, regardless of worker scheduling, and a panic in mk is its
+	// parameter's error at every worker count, not a crash.
 	bad := func(p float64) (*exec.Engine, func(*exec.Thread), error) {
+		if p == 8192 {
+			panic("mk boom")
+		}
 		e, err := exec.NewEngine(exec.Config{Machine: topology.UMA(), Threads: 1})
 		if err != nil {
 			return nil, nil, err
@@ -102,9 +113,15 @@ func TestCollectTrainingParallelEquivalence(t *testing.T) {
 		}
 		return e, body, nil
 	}
-	if _, err := CollectTrainingParallel([]float64{1024, 2048, 4096}, 1, 3, bad); err == nil ||
-		!strings.Contains(err.Error(), "param 2048") {
-		t.Fatalf("want the first failing param's error, got %v", err)
+	for _, workers := range []int{1, 2, 3, 8} {
+		if _, err := CollectTrainingParallel([]float64{1024, 2048, 4096, 8192}, 1, workers, bad); err == nil ||
+			!strings.Contains(err.Error(), "param 2048") {
+			t.Fatalf("workers=%d: want the first failing param's error, got %v", workers, err)
+		}
+		var pe *campaign.PanicError
+		if _, err := CollectTrainingParallel([]float64{1024, 8192}, 1, workers, bad); !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: want the panicking param's *campaign.PanicError, got %v", workers, err)
+		}
 	}
 }
 

@@ -206,31 +206,16 @@ func TransitionCheck(samples []oslite.FootprintSample, sp *Split) error {
 	return nil
 }
 
-// DetectTwoPhases implements the paper's exhaustive pivot search: all
-// pivots are tried, the one minimising the summed error of both linear
-// fits determines the phase transition. When no pivot is statistically
-// justified — the footprint is flat, uniformly linear or monotone
-// noise — it returns an error wrapping ErrNoTransition rather than an
-// arbitrary split.
+// DetectTwoPhases implements the paper's exhaustive pivot search, which
+// is DetectPhases at k = 2: all pivots are tried, the one minimising the
+// summed error of both linear fits determines the phase transition. When
+// no pivot is statistically justified — the footprint is flat,
+// uniformly linear or monotone noise — it returns an error wrapping
+// ErrNoTransition rather than an arbitrary split.
 func DetectTwoPhases(samples []oslite.FootprintSample) (*Split, error) {
-	n := len(samples)
-	if n < 2*minSegment {
-		return nil, fmt.Errorf("%w: %d samples for 2 phases", ErrTooFewSamples, n)
-	}
-	p := newPrefixSums(samples)
-	bestPivot := -1
-	bestSSE := 0.0
-	for pivot := minSegment; pivot <= n-minSegment; pivot++ {
-		_, _, sse1 := p.fit(0, pivot)
-		_, _, sse2 := p.fit(pivot, n)
-		total := sse1 + sse2
-		if bestPivot < 0 || total < bestSSE {
-			bestPivot, bestSSE = pivot, total
-		}
-	}
-	sp := &Split{
-		Segments: []Segment{p.segment(0, bestPivot), p.segment(bestPivot, n)},
-		TotalSSE: bestSSE,
+	sp, err := DetectPhases(samples, 2)
+	if err != nil {
+		return nil, err
 	}
 	if err := TransitionCheck(samples, sp); err != nil {
 		return nil, err
@@ -240,10 +225,11 @@ func DetectTwoPhases(samples []oslite.FootprintSample) (*Split, error) {
 
 // DetectPhases segments the series into exactly k phases by dynamic
 // programming over segment boundaries, minimising the total SSE of the
-// per-segment linear fits. k = 2 performs the same pivot search as
-// DetectTwoPhases but applies no transition test — callers such as
-// Analyze run TransitionCheck on the result themselves; larger k
-// recognises BSP-like supersteps.
+// per-segment linear fits. At k = 2 this is the paper's pivot search:
+// every pivot is tried and the first of equal minima kept. It applies
+// no transition test — DetectTwoPhases adds it, and Analyze runs
+// TransitionCheck on the result itself; larger k recognises BSP-like
+// supersteps.
 func DetectPhases(samples []oslite.FootprintSample, k int) (*Split, error) {
 	n := len(samples)
 	if k < 1 {
@@ -253,9 +239,6 @@ func DetectPhases(samples []oslite.FootprintSample, k int) (*Split, error) {
 		return nil, fmt.Errorf("%w: %d samples for %d phases", ErrTooFewSamples, n, k)
 	}
 	p := newPrefixSums(samples)
-	if k == 1 {
-		return &Split{Segments: []Segment{p.segment(0, n)}, TotalSSE: p.segment(0, n).SSE}, nil
-	}
 	const inf = 1e308
 	// dp[s][j]: minimal SSE of splitting samples[0:j] into s segments.
 	dp := make([][]float64, k+1)
