@@ -12,6 +12,7 @@ package memhist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"numaperf/internal/exec"
@@ -328,6 +329,22 @@ func Exact(e *exec.Engine, body func(*exec.Thread), bounds []uint64, period uint
 	}
 	h.Quality = quality
 	return h, nil
+}
+
+// clone returns a deep copy of h that shares no slice or quality
+// report with it.
+func (h *Histogram) clone() *Histogram {
+	c := *h
+	c.Bounds = slices.Clone(h.Bounds)
+	c.Counts = slices.Clone(h.Counts)
+	c.Uncertain = slices.Clone(h.Uncertain)
+	c.Confidence = slices.Clone(h.Confidence)
+	if h.Quality != nil {
+		q := *h.Quality
+		q.Thresholds = slices.Clone(h.Quality.Thresholds)
+		c.Quality = &q
+	}
+	return &c
 }
 
 func newHistogram(bounds []uint64) *Histogram {

@@ -60,15 +60,26 @@ func freshJSON(t *testing.T, req ProbeRequest) []byte {
 // requires every histogram to encode to the same bytes as a fresh
 // engine's measurement of the same request. The sequence then runs from
 // four goroutines at once, which share the pools (and which the race
-// detector watches in CI's -race pass).
+// detector watches in CI's -race pass). Each goroutine sends its own
+// SliceCycles, so its requests miss the memo and measure on the shared
+// pools rather than copy another goroutine's histogram.
 func TestHandleRequestMatchesFreshEngines(t *testing.T) {
+	resetMemo()
 	reqs := pooledSequence()
-	want := make([][]byte, len(reqs))
-	for i, req := range reqs {
-		want[i] = freshJSON(t, req)
+	variant := func(req ProbeRequest, g int) ProbeRequest {
+		req.SliceCycles = uint64(g) * 1_000_003
+		return req
+	}
+	want := make([][][]byte, 5)
+	for g := range want {
+		want[g] = make([][]byte, len(reqs))
+		for i, req := range reqs {
+			want[g][i] = freshJSON(t, variant(req, g))
+		}
 	}
 	check := func(t *testing.T, g int) {
 		for i, req := range reqs {
+			req = variant(req, g)
 			h, err := HandleRequest(req)
 			if err != nil {
 				t.Errorf("goroutine %d, request %d (%+v): %v", g, i, req, err)
@@ -79,9 +90,9 @@ func TestHandleRequestMatchesFreshEngines(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if !bytes.Equal(got, want[i]) {
+			if !bytes.Equal(got, want[g][i]) {
 				t.Errorf("goroutine %d, request %d (%+v): pooled histogram differs from a fresh engine's:\n got %s\nwant %s",
-					g, i, req, got, want[i])
+					g, i, req, got, want[g][i])
 			}
 		}
 	}
@@ -133,14 +144,17 @@ const handleRequestAllocBudget = 2 << 20
 var raceEnabled bool
 
 // TestHandleRequestAllocBudget is the live allocation guard over a
-// probe cell: after one warm-up request fills the pool, the mean
-// TotalAlloc growth of 20 HandleRequest calls must stay within budget.
-// Under -race the pool drops engines on purpose, so the guard runs in
-// the plain test pass only.
+// probe cell that misses the memo: after one warm-up request fills the
+// pool, the mean TotalAlloc growth of 20 HandleRequest calls on the
+// same (machine, threads) must stay within budget. Each call asks for
+// its own SliceCycles, so each measures on a pooled engine instead of
+// copying a stored histogram. Under -race the pool drops engines on
+// purpose, so the guard runs in the plain test pass only.
 func TestHandleRequestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of Puts, so engine reuse is not measured under -race")
 	}
+	resetMemo()
 	req := ProbeRequest{Workload: "pointer-chase", Machine: "uma", Seed: 1}
 	if _, err := HandleRequest(req); err != nil {
 		t.Fatal(err)
@@ -150,6 +164,7 @@ func TestHandleRequestAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
 		req.Seed = int64(2 + i)
+		req.SliceCycles = uint64(1_000_000 + i)
 		if _, err := HandleRequest(req); err != nil {
 			t.Fatal(err)
 		}
@@ -163,14 +178,87 @@ func TestHandleRequestAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkHandleRequest measures one small probe cell (pointer-chase
+// memoHitSlack is what a memo hit may allocate beyond its copy of the
+// histogram and the lookups every request makes. A default
+// pointer-chase cell on uma allocated 1920 bytes per hit: a 1264-byte
+// copy and 656 bytes of workload and machine lookup (topology.ByName
+// builds the machine).
+const memoHitSlack = 64
+
+// cloneSink keeps TestHandleRequestHitAllocs' copies on the heap, as a
+// hit's are.
+var cloneSink *Histogram
+
+// TestHandleRequestHitAllocs is the live allocation guard over a probe
+// cell that hits the memo: it takes no engine and allocates only its
+// copy of the stored histogram and the request's lookups, plus
+// memoHitSlack.
+func TestHandleRequestHitAllocs(t *testing.T) {
+	req := ProbeRequest{Workload: "pointer-chase", Machine: "uma", Seed: 1}
+	stored, err := HandleRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	meanBytes := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	copyBytes := meanBytes(func() { cloneSink = stored.clone() })
+	lookupBytes := meanBytes(func() {
+		workloads.ByName(req.Workload)
+		topology.ByName(req.Machine)
+	})
+	hitBytes := meanBytes(func() {
+		req.Seed++
+		if _, err := HandleRequest(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d bytes allocated per memo hit: %d per copy of its histogram, %d per lookup (slack %d)",
+		hitBytes, copyBytes, lookupBytes, memoHitSlack)
+	if hitBytes > copyBytes+lookupBytes+memoHitSlack {
+		t.Errorf("a memo hit allocates %d bytes, its copy %d and its lookups %d: a hit does more than copy the stored histogram",
+			hitBytes, copyBytes, lookupBytes)
+	}
+}
+
+// BenchmarkHandleRequestHit measures one small probe cell (pointer-chase
 // on uma, 16 Ki dependent loads) as the probe server and the fleet
-// agent serve it, on a pooled, re-seeded engine.
-func BenchmarkHandleRequest(b *testing.B) {
+// agent serve a fleet campaign's cells: a new seed each time, answered
+// from the memo.
+func BenchmarkHandleRequestHit(b *testing.B) {
 	req := ProbeRequest{Workload: "pointer-chase", Machine: "uma"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		req.Seed = int64(i)
+		if _, err := HandleRequest(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// missSlice is the SliceCycles of BenchmarkHandleRequestMiss' last
+// request. It grows across b.N rounds, so no round repeats a request
+// an earlier round stored.
+var missSlice uint64
+
+// BenchmarkHandleRequestMiss measures the same cell when it misses the
+// memo (each iteration asks for its own SliceCycles), so it simulates
+// on a pooled, re-seeded engine.
+func BenchmarkHandleRequestMiss(b *testing.B) {
+	resetMemo()
+	req := ProbeRequest{Workload: "pointer-chase", Machine: "uma"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		missSlice++
+		req.Seed = int64(i)
+		req.SliceCycles = 1_000_000 + missSlice
 		if _, err := HandleRequest(req); err != nil {
 			b.Fatal(err)
 		}

@@ -1,8 +1,10 @@
 package memhist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"numaperf/internal/exec"
@@ -106,6 +108,10 @@ func HandleRequest(req ProbeRequest) (*Histogram, error) {
 // HandleRequestWith is HandleRequest with the given sampler options on
 // the sampled path (an exact request takes no samples). Its Disruptor
 // is how a scenario replays PMU weather on every serve of a cell.
+//
+// With zero sampler options a request is answered from the memo when
+// an earlier one asked for the same measurement under any seed (see
+// memo); any other options simulate on every call.
 func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogram, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -127,6 +133,12 @@ func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogra
 		threads = 1
 	}
 	key := engineKey{machName, threads}
+	mk, memoize := memoKeyOf(key, w, req, sampler)
+	if memoize {
+		if h := memo.get(mk); h != nil {
+			return h, nil
+		}
+	}
 	e, err := takeEngine(key, mach, req.Seed)
 	if err != nil {
 		return nil, err
@@ -135,8 +147,14 @@ func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogra
 	if err != nil {
 		return nil, err
 	}
-	pool, _ := enginePools.LoadOrStore(key, new(sync.Pool))
+	pool, ok := enginePools.Load(key)
+	if !ok {
+		pool, _ = enginePools.LoadOrStore(key, new(sync.Pool))
+	}
 	pool.(*sync.Pool).Put(e)
+	if memoize {
+		memo.put(mk, h)
+	}
 	return h, nil
 }
 
@@ -191,4 +209,97 @@ func takeEngine(key engineKey, mach *topology.Machine, seed int64) (*exec.Engine
 		}
 	}
 	return exec.NewEngine(exec.Config{Machine: mach, Threads: key.threads, Seed: seed})
+}
+
+// A fleet campaign's cells, and a probe's repeated requests, differ
+// only in their seeds, and a histogram does not depend on the seed: it
+// is built from load latencies and simulated cycles alone, the exact
+// fields of a run that exec.Engine.Repeat documents as seed-free, and
+// a lossless sampler adds nothing random. So HandleRequestWith keeps
+// the histograms it measured with zero sampler options in a memo keyed
+// on everything else a measurement reads, and answers a repeated
+// request with a deep copy of the stored histogram, taking no engine.
+// The key holds the workload value ByName returned rather than its
+// name, so re-registering a name never serves the old workload's
+// histogram; a value that cannot be compared (a func or slice field)
+// skips the memo. Only a successful measurement is stored. The memo
+// holds at most memoBound histograms and empties when it is full.
+var memo = histMemo{entries: make(map[memoKey]*Histogram)}
+
+// memoBound caps the histograms the memo holds. A fleet campaign needs
+// one entry; a probe serving many kinds of request keeps the newest.
+const memoBound = 64
+
+// memoKey is every input a measurement reads except the seed, with the
+// defaults HandleRequestWith applies (engineKey's machine and threads,
+// reps ≤ 0 as 1). nil Bounds select DefaultBounds while empty ones
+// fail, so the two never share an entry.
+type memoKey struct {
+	engineKey
+	workload  workloads.Workload
+	reps      int
+	slice     uint64
+	exact     bool
+	adaptive  bool
+	nilBounds bool
+	bounds    string // the edges, 8 little-endian bytes each
+}
+
+// memoKeyOf builds req's memo key, or reports that req bypasses the
+// memo: it samples with non-zero options, or its workload value cannot
+// be a map key.
+func memoKeyOf(key engineKey, w workloads.Workload, req ProbeRequest, sampler perf.SamplerOptions) (memoKey, bool) {
+	if sampler != (perf.SamplerOptions{}) || !reflect.ValueOf(w).Comparable() {
+		return memoKey{}, false
+	}
+	reps := req.Reps
+	if reps <= 0 {
+		reps = 1
+	}
+	var bounds []byte
+	if len(req.Bounds) > 0 {
+		bounds = make([]byte, 0, 8*len(req.Bounds))
+		for _, b := range req.Bounds {
+			bounds = binary.LittleEndian.AppendUint64(bounds, b)
+		}
+	}
+	return memoKey{
+		engineKey: key,
+		workload:  w,
+		reps:      reps,
+		slice:     req.SliceCycles,
+		exact:     req.Exact,
+		adaptive:  req.Adaptive,
+		nilBounds: req.Bounds == nil,
+		bounds:    string(bounds),
+	}, true
+}
+
+// histMemo is the memo's store. Stored histograms are never handed out
+// or changed: get and put copy.
+type histMemo struct {
+	mu      sync.Mutex
+	entries map[memoKey]*Histogram
+}
+
+// get returns a copy of the histogram stored under k, or nil.
+func (m *histMemo) get(k memoKey) *Histogram {
+	m.mu.Lock()
+	h := m.entries[k]
+	m.mu.Unlock()
+	if h == nil {
+		return nil
+	}
+	return h.clone()
+}
+
+// put stores a copy of h under k, first emptying a full memo.
+func (m *histMemo) put(k memoKey, h *Histogram) {
+	c := h.clone()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.entries[k]; !ok && len(m.entries) >= memoBound {
+		clear(m.entries)
+	}
+	m.entries[k] = c
 }
