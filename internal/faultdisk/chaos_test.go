@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -520,5 +521,96 @@ func TestFleetStrictDiskFaultAborts(t *testing.T) {
 	_, err := c.RunCampaign(ctx, spec)
 	if !errors.Is(err, fleet.ErrJournalDegraded) {
 		t.Fatalf("err = %v, want ErrJournalDegraded", err)
+	}
+}
+
+// TestFleetDiskBatchSyncWindows puts sync faults on the fsync that
+// makes a loop turn's cell records durable. With the journal in one
+// file, the coordinator writes the cells a turn commits and fsyncs them
+// together just before it waits for outcomes again; with two probes,
+// how many cells one fsync covers varies with scheduling. The fresh
+// journal's header is fsync#1 and the first batch's fsync is #2.
+func TestFleetDiskBatchSyncWindows(t *testing.T) {
+	spec := fleetSpec(4)
+	want := fleetReference(t, spec)
+	// start runs a coordinator on ln over the script and waits for the
+	// probes, starting them unless they are reconnecting.
+	start := func(t *testing.T, ln net.Listener, jpath string, script *Script, probes int, strict, resume bool) *fleet.Coordinator {
+		opts := fleetOpts()
+		opts.JournalPath = jpath
+		opts.JournalFS = script.FS(nil)
+		opts.StrictJournal = strict
+		opts.Resume = resume
+		c := startCoordinatorOn(t, opts, ln)
+		for i := 0; i < probes && !resume; i++ {
+			startAgent(t, ln.Addr().String(), fmt.Sprintf("probe-%d", i))
+		}
+		waitProbes(t, c, probes)
+		return c
+	}
+
+	t.Run("kill-batch-fsync", func(t *testing.T) {
+		jpath := filepath.Join(t.TempDir(), "fleet.journal")
+		script := NewScript().KillOnSync(2)
+		ln := listenLoopback(t)
+		addr := ln.Addr().String()
+		c1 := start(t, ln, jpath, script, 2, false, false)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err := c1.RunCampaign(ctx, spec)
+		cancel()
+		if !errors.Is(err, journal.ErrCrashed) {
+			t.Fatalf("first life returned %v, want ErrCrashed", err)
+		}
+		crashCoordinator(t, c1)
+
+		rep := runFleet(t, start(t, relisten(t, addr), jpath, script, 2, false, true), spec)
+		assertFleetByteIdentical(t, rep, want)
+		// The batch's writes landed before the kill, so the resumed
+		// coordinator replays every cell of that turn.
+		t.Logf("resumed with %d cell(s) replayed", rep.Replayed)
+		if rep.Replayed < 1 {
+			t.Errorf("replayed %d cells, want the killed batch's (at least 1)", rep.Replayed)
+		}
+		if rep.JournalDegraded {
+			t.Fatalf("resume degraded: %s", rep.Summary())
+		}
+		assertJournalClean(t, jpath)
+	})
+
+	for _, tc := range []struct {
+		name   string
+		sync   int // the fsync that fails
+		probes int
+		strict bool
+	}{
+		{"failed-batch-fsync-degrades", 2, 2, false},
+		{"failed-batch-fsync-strict", 2, 2, true},
+		// One probe answers one cell per turn, so the four cells are
+		// fsynced by #2 to #5, and #5 follows the final commit.
+		{"failed-final-fsync-strict", 5, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			script := NewScript().FailSync(tc.sync)
+			c := start(t, listenLoopback(t), filepath.Join(t.TempDir(), "fleet.journal"), script, tc.probes, tc.strict, false)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			rep, err := c.RunCampaign(ctx, spec)
+			if script.Fired() == 0 {
+				t.Fatal("disk fault script never fired")
+			}
+			if tc.strict {
+				if !errors.Is(err, fleet.ErrJournalDegraded) {
+					t.Fatalf("err = %v, want ErrJournalDegraded", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("campaign: %v", err)
+			}
+			assertFleetByteIdentical(t, rep, want)
+			if !rep.JournalDegraded || !strings.Contains(rep.Summary(), "JOURNAL DEGRADED") {
+				t.Fatalf("fault not reported: %s", rep.Summary())
+			}
+		})
 	}
 }

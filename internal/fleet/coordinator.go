@@ -61,7 +61,10 @@ type Options struct {
 	// JournalPath enables the campaign crash journal; empty runs in
 	// memory only. Every committed cell (raw histogram bytes, fidelity
 	// footer, gap verdict) and every probe strike-ledger change is
-	// CRC-framed and fsynced before the campaign acknowledges it.
+	// CRC-framed. A ledger change is fsynced before any further cell is
+	// dispatched; the cells a loop turn commits share one fsync, issued
+	// before the loop waits for outcomes and before the campaign
+	// returns its report.
 	JournalPath string
 	// JournalSegmentBytes rotates the journal into checkpointed
 	// segments (JournalPath.000001, …) once the live tail passes this
@@ -123,11 +126,14 @@ func (o Options) withDefaults() Options {
 }
 
 // outcome is one terminal event for a dispatched cell, delivered from a
-// link reader to the campaign loop.
+// link reader to the campaign loop. A response's histogram is decoded
+// by the reader: hist, or histErr when the body is malformed.
 type outcome struct {
-	reqID uint64
-	body  json.RawMessage
-	err   error
+	reqID   uint64
+	body    json.RawMessage
+	err     error
+	hist    *memhist.Histogram
+	histErr error
 }
 
 // pendEntry routes a response for one request ID to the campaign
@@ -483,9 +489,10 @@ func (c *Coordinator) closeLink(id string) {
 	}
 }
 
-// deliver routes an outcome to the campaign waiting on reqID; late or
-// duplicate deliveries (the entry was cancelled or already delivered)
-// are dropped.
+// deliver routes an outcome to the campaign waiting on reqID, decoding
+// a response's histogram on the calling link reader, off the campaign
+// loop; late or duplicate deliveries (the entry was cancelled or
+// already delivered) are dropped undecoded.
 func (c *Coordinator) deliver(reqID uint64, body json.RawMessage, err error) {
 	c.pendMu.Lock()
 	e, ok := c.pending[reqID]
@@ -493,9 +500,14 @@ func (c *Coordinator) deliver(reqID uint64, body json.RawMessage, err error) {
 		delete(c.pending, reqID)
 	}
 	c.pendMu.Unlock()
-	if ok {
-		e.ch <- outcome{reqID: reqID, body: body, err: err}
+	if !ok {
+		return
 	}
+	o := outcome{reqID: reqID, body: body, err: err}
+	if err == nil {
+		o.hist, o.histErr = memhist.DecodeHistogram(body)
+	}
+	e.ch <- o
 }
 
 // cancelPending removes a pending entry so a late response is dropped.
@@ -610,8 +622,9 @@ type cellState struct {
 	// journaled verbatim; servedBy names the probe that produced them.
 	body     json.RawMessage
 	servedBy string
-	// journaled marks the cell's verdict durably committed (or replayed
-	// from a resumed journal).
+	// journaled marks the cell's verdict written to the journal, to be
+	// fsynced before the loop next waits (or replayed from a resumed
+	// journal).
 	journaled bool
 	// lastProbe is the probe of the previous attempt; re-dispatch
 	// prefers any other probe, because a probe that just failed the
@@ -744,11 +757,12 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 		return nil, err
 	}
 
-	// commit journals cell verdicts in canonical order: a cell is
-	// acknowledged (and survives a restart) only once every earlier
-	// cell's verdict is durably recorded, which is what makes a partial
-	// journal a byte-prefix of the complete one. Scripted faults crash
-	// the coordinator in each distinct window of the write path.
+	// commit writes cell verdicts to the journal in canonical order: a
+	// cell is written only once every earlier cell's verdict is, which
+	// is what makes a partial journal a byte-prefix of the complete one.
+	// The writes become durable together at the loop's next jnl.Sync.
+	// Scripted faults crash the coordinator in each distinct window of
+	// the write path.
 	commit := func() error {
 		for nextCommit < n {
 			st := cells[nextCommit]
@@ -781,7 +795,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 						return ErrCoordinatorKilled
 					}
 				}
-				if err := jnl.Append(record); err != nil {
+				if err := jnl.Write(record); err != nil {
 					return err
 				}
 				st.journaled = true
@@ -793,9 +807,10 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	}
 
 	// syncLedger journals probe strike/quarantine changes in probe-ID
-	// order. Records carry absolute totals and the last record per
-	// probe wins on replay, so re-writing on every change is
-	// idempotent across any number of restarts.
+	// order, each fsynced before the loop dispatches again. Records
+	// carry absolute totals and the last record per probe wins on
+	// replay, so re-writing on every change is idempotent across any
+	// number of restarts.
 	syncLedger := func() error {
 		if jnl == nil {
 			return nil
@@ -887,16 +902,15 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			}
 			return fail(d.cell, now, o.err)
 		}
-		h, err := memhist.DecodeHistogram(o.body)
-		if err != nil {
+		if o.histErr != nil {
 			if st := c.tracker.Strike(d.probe, "returned a malformed histogram"); st == Quarantined {
 				c.closeLink(d.probe)
 			}
-			return fail(d.cell, now, fmt.Errorf("probe %q returned a malformed histogram: %w", d.probe, err))
+			return fail(d.cell, now, fmt.Errorf("probe %q returned a malformed histogram: %w", d.probe, o.histErr))
 		}
 		st := cells[d.cell]
 		st.status = cellDone
-		st.hist = h
+		st.hist = o.hist
 		st.body = o.body
 		st.servedBy = d.probe
 		remaining--
@@ -953,8 +967,10 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			}
 		}
 
-		// Durability point: flush the strike ledger and every cell whose
-		// canonical turn has come before scattering more work.
+		// Commit point: fsync the strike ledger and write every cell whose
+		// canonical turn has come before scattering more work. The cell
+		// records are fsynced together just before the loop waits, while
+		// the probes measure the cells dispatched below.
 		if err := syncLedger(); err != nil {
 			return abort(err)
 		}
@@ -1054,6 +1070,12 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 
 		c.publishProgress(true, report, inflightByProbe)
 
+		// Durability point: every cell record written this turn is on
+		// disk before the loop waits.
+		if err := jnl.Sync(); err != nil {
+			return abort(err)
+		}
+
 		// Wait for an outcome or the next bookkeeping tick.
 		if !timer.Stop() {
 			select {
@@ -1091,6 +1113,9 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 		return abort(err)
 	}
 	if err := commit(); err != nil {
+		return abort(err)
+	}
+	if err := jnl.Sync(); err != nil {
 		return abort(err)
 	}
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"numaperf/internal/exec"
+	"numaperf/internal/memhist"
 	"numaperf/internal/probenet"
 	"numaperf/internal/workloads"
 )
@@ -204,6 +206,80 @@ func TestFleetCampaignEndToEnd(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("agent did not stop on context cancel")
+	}
+}
+
+// TestMalformedHistogramStrikesAndRedispatches: a probe whose answers
+// fail the histogram shape gate, which the link reader applies, is
+// struck for each one, and every cell it spoiled completes on the
+// healthy probe, so the gathered report equals the fault-free merge.
+func TestMalformedHistogramStrikesAndRedispatches(t *testing.T) {
+	spec := testFleetSpec(4)
+	var hs []*memhist.Histogram
+	for i := 0; i < spec.Cells; i++ {
+		h, err := memhist.HandleRequest(spec.CellRequest(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	ref, err := memhist.MergeHistograms(hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(ref)
+
+	// A probe is quarantined at its third strike, so no cell fails more
+	// than three times.
+	c, addr := startTestCoordinator(t, Options{
+		SuspectAfter: 150 * time.Millisecond,
+		DeadAfter:    300 * time.Millisecond,
+		MaxRetries:   3,
+		Tick:         5 * time.Millisecond,
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   5 * time.Millisecond,
+	})
+	malformed := func(memhist.ProbeRequest) (*memhist.Histogram, error) {
+		return &memhist.Histogram{Bounds: []uint64{4, 4}, Counts: []float64{1, 1}, Uncertain: []bool{false, false}}, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var agents sync.WaitGroup
+	for _, a := range []*ProbeAgent{
+		{ID: "bad", Coordinator: addr, HeartbeatInterval: 10 * time.Millisecond, Handle: malformed},
+		{ID: "good", Coordinator: addr, HeartbeatInterval: 10 * time.Millisecond},
+	} {
+		agents.Add(1)
+		go func() {
+			defer agents.Done()
+			_ = a.Run(ctx) // the quarantined probe stops on its own
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		agents.Wait()
+	})
+	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer wcancel()
+	if err := c.WaitForProbes(wctx, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer rcancel()
+	rep, err := c.RunCampaign(rctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(rep.Histogram); !rep.Complete() || string(got) != string(want) {
+		t.Fatalf("gathered report differs from the fault-free merge\ngot:  %s\nwant: %s", got, want)
+	}
+	if rep.ProbeCells["bad"] != 0 || rep.Redispatched == 0 {
+		t.Errorf("bad probe served %d cells, %d re-dispatched; want 0 and at least 1", rep.ProbeCells["bad"], rep.Redispatched)
+	}
+	for _, p := range c.Tracker().Snapshot() {
+		if p.ID == "bad" && (p.Strikes == 0 || p.StrikeReasons[0] != "returned a malformed histogram") {
+			t.Errorf("bad probe ledger: %d strikes %q", p.Strikes, p.StrikeReasons)
+		}
 	}
 }
 

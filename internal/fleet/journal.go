@@ -3,13 +3,17 @@
 // canonical cell order, one record per committed cell — the probe's
 // raw histogram bytes (fidelity footer included) for a completed cell,
 // the typed reason for a gapped one — plus probe strike/quarantine
-// records whenever the health ledger changes, each fsynced before the
-// campaign acknowledges the cell. Because cell i's measurement is a
-// pure function of the spec (seed Seed+i+1), a coordinator restarted
-// with Resume replays the committed prefix verbatim, re-scatters only
-// the missing cells, and gathers a report byte-identical to an
-// uninterrupted run — and because strike totals ride in the journal, a
-// flapping probe cannot launder its record through the restart.
+// records whenever the health ledger changes. A ledger record is
+// fsynced before any further cell is dispatched; the cell records one
+// campaign-loop turn commits share one fsync, issued before the loop
+// waits for outcomes and before the report is built, so a power loss
+// costs at most that turn's cells, which a resume measures again.
+// Because cell i's measurement is a pure function of the spec (seed
+// Seed+i+1), a coordinator restarted with Resume replays the committed
+// prefix verbatim, re-scatters only the missing cells, and gathers a
+// report byte-identical to an uninterrupted run — and because strike
+// totals ride in the journal, a flapping probe cannot launder its
+// record through the restart.
 package fleet
 
 import (

@@ -1,6 +1,8 @@
 // Package journal is the shared crash-tolerant record log under the
 // repo's resumable campaigns: an append-only JSON-lines file in which
-// every record is individually CRC-32 checked and fsynced, so a process
+// every record is individually CRC-32 checked and fsynced before its
+// owner acknowledges it — alone (Append), or in one fsync with every
+// record written since the last (Write, then Sync) — so a process
 // killed at any instant — including mid-write — leaves a journal that
 // loads cleanly. Each line is
 //

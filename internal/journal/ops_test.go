@@ -83,6 +83,23 @@ func appendN(t *testing.T, w *SegmentedWriter, first, n int) {
 	}
 }
 
+// writeN writes records first..first+n-1 with Write, fsyncs them with
+// one Sync and closes the writer.
+func writeN(t *testing.T, w *SegmentedWriter, first, n int) {
+	t.Helper()
+	for i := first; i < first+n; i++ {
+		if err := w.Write(&segTestRec{Kind: "rec", N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // tornJournal builds a journal of two records plus a torn third.
 func tornJournal(t *testing.T, base string, segmentBytes int) {
 	t.Helper()
@@ -102,7 +119,8 @@ func tornJournal(t *testing.T, base string, segmentBytes int) {
 
 // TestOpSequencesPinned pins the filesystem operation sequence of every
 // journal path: fresh single file, fresh segmented journal, resume after
-// a torn tail (both layouts), migration, rotation and compaction.
+// a torn tail (both layouts), migration, rotation, compaction, and
+// records written as a batch with one Sync.
 func TestOpSequencesPinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -187,6 +205,48 @@ func TestOpSequencesPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				appendN(t, w, 0, 2)
+			},
+			want: []string{"create:j.000001", "syncdir", "write:j.000001", "sync:j.000001",
+				"write:j.000001", "sync:j.000001",
+				"read:j.000001", "create:j.000002", "syncdir", "write:j.000002", "write:j.000002",
+				"sync:j.000002", "remove:j.000001",
+				"write:j.000002", "sync:j.000002",
+				"read:j.000002", "create:j.000003", "syncdir", "write:j.000003", "write:j.000003",
+				"sync:j.000003", "remove:j.000002"},
+		},
+		{
+			name: "batch",
+			run: func(t *testing.T, rec *opRecorder, base string) {
+				w, err := OpenSegmented(rec, base, nil, segOpts(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeN(t, w, 0, 3)
+			},
+			want: []string{"create:j", "syncdir", "write:j", "sync:j",
+				"write:j", "write:j", "write:j", "sync:j"},
+		},
+		{
+			name: "sync with nothing written",
+			run: func(t *testing.T, rec *opRecorder, base string) {
+				w, err := OpenSegmented(rec, base, nil, segOpts(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeN(t, w, 0, 0)
+			},
+			want: []string{"create:j", "syncdir", "write:j", "sync:j"},
+		},
+		{
+			// A record that fills the segment is fsynced and rotated by
+			// its Write: the ops of the "rotation" row.
+			name: "rotation by write",
+			run: func(t *testing.T, rec *opRecorder, base string) {
+				w, err := OpenSegmented(rec, base, nil, segOpts(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeN(t, w, 0, 2)
 			},
 			want: []string{"create:j.000001", "syncdir", "write:j.000001", "sync:j.000001",
 				"write:j.000001", "sync:j.000001",

@@ -106,12 +106,13 @@ func (o *Owner) Decode(rec Record, v any) error {
 	return nil
 }
 
-// degrade applies the owner's disk-fault policy to an append error: a
-// scripted crash passes through verbatim (the chaos harness resumes
-// from whatever hit the disk); under Strict any other fault aborts with
-// the owner's ErrDegraded; otherwise the journal is dropped, the owner
-// finishes in memory, and Fault says why — the resume guarantee is never
-// lost silently. A writer opened without an owner returns err as is.
+// degrade applies the owner's disk-fault policy to a write or sync
+// error: a scripted crash passes through verbatim (the chaos harness
+// resumes from whatever hit the disk); under Strict any other fault
+// aborts with the owner's ErrDegraded; otherwise the journal is
+// dropped, the owner finishes in memory, and Fault says why — the
+// resume guarantee is never lost silently. A writer opened without an
+// owner returns err as is.
 func (w *SegmentedWriter) degrade(err error) error {
 	switch {
 	case err == nil, w.owner == nil, errors.Is(err, ErrCrashed):

@@ -284,10 +284,11 @@ type SegmentedOptions struct {
 }
 
 // SegmentedWriter is the journal's one writer: it appends CRC-framed
-// records to the live segment, fsyncing after every Append so a kill -9
-// loses at most the record being written, and rotates into checkpointed
-// successors when SegmentBytes is set. A nil writer (journaling
-// disabled) accepts every call as a no-op.
+// records to the live segment and rotates into checkpointed successors
+// when SegmentBytes is set. Append fsyncs every record; an owner that
+// commits several records at once writes each with Write and makes them
+// all durable with one Sync. A nil writer (journaling disabled) accepts
+// every call as a no-op.
 type SegmentedWriter struct {
 	fsys   FS
 	base   string
@@ -297,6 +298,8 @@ type SegmentedWriter struct {
 	path   string
 	seg    int
 	tail   int
+	// unsynced reports bytes written to f since its last fsync.
+	unsynced bool
 
 	// The owner's disk-fault policy, armed by Owner.Open.
 	owner  *Owner
@@ -473,20 +476,31 @@ func (w *SegmentedWriter) startSegment(idx int, ckpt []byte) error {
 	return nil
 }
 
-// Append marshals, frames, writes and fsyncs one record, then rotates
-// if the tail passed its byte budget. The record that triggers a
-// rotation is already durable in the old segment before the rotation
-// starts, so a crash in any rotation window never loses it. A writer
-// opened by Owner.Open applies the owner's disk-fault policy to any
-// failure.
+// Append writes one record and fsyncs it: Write, then Sync. The record
+// that triggers a rotation is already durable in the old segment before
+// the rotation starts, so a crash in any rotation window never loses
+// it. A writer opened by Owner.Open applies the owner's disk-fault
+// policy to any failure.
 func (w *SegmentedWriter) Append(record any) error {
+	if err := w.Write(record); err != nil {
+		return err
+	}
+	return w.Sync()
+}
+
+// Write marshals, frames and writes one record without fsyncing it: it
+// is durable after the next Sync. A record that fills the segment
+// (SegmentBytes set) is fsynced and rotated at once, so under a segment
+// budget every such record issues the ops Append does. A writer opened
+// by Owner.Open applies the owner's disk-fault policy to any failure.
+func (w *SegmentedWriter) Write(record any) error {
 	if w == nil || w.f == nil {
 		return nil
 	}
-	return w.degrade(w.appendRecord(record))
+	return w.degrade(w.writeRecord(record))
 }
 
-func (w *SegmentedWriter) appendRecord(record any) error {
+func (w *SegmentedWriter) writeRecord(record any) error {
 	payload, err := json.Marshal(record)
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
@@ -495,11 +509,32 @@ func (w *SegmentedWriter) appendRecord(record any) error {
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing record: %w", err)
-	}
 	w.tail += len(frame)
-	if w.opts.SegmentBytes > 0 && w.tail >= w.opts.SegmentBytes {
+	w.unsynced = true
+	if w.full() {
+		return w.sync()
+	}
+	return nil
+}
+
+// Sync fsyncs every record written since the last fsync, if any, then
+// rotates if the tail passed its byte budget. A writer opened by
+// Owner.Open applies the owner's disk-fault policy to any failure.
+func (w *SegmentedWriter) Sync() error {
+	if w == nil || w.f == nil {
+		return nil
+	}
+	return w.degrade(w.sync())
+}
+
+func (w *SegmentedWriter) sync() error {
+	if w.unsynced {
+		if err := w.f.Sync(); err != nil {
+			return fmt.Errorf("journal: syncing record: %w", err)
+		}
+		w.unsynced = false
+	}
+	if w.full() {
 		if err := w.rotate(); err != nil {
 			return fmt.Errorf("journal: rotating segment: %w", err)
 		}
@@ -507,14 +542,19 @@ func (w *SegmentedWriter) appendRecord(record any) error {
 	return nil
 }
 
+// full reports that the live segment's tail reached its byte budget.
+func (w *SegmentedWriter) full() bool {
+	return w.opts.SegmentBytes > 0 && w.tail >= w.opts.SegmentBytes
+}
+
 // rotate checkpoints the live segment into its successor. The live
 // segment is read back from disk (disk state equals logical state:
-// every Append fsyncs), re-verified, its checkpoint expanded, and the
-// flat record payloads — optionally summarized — become the successor's
-// checkpoint bundle. Only after the successor is durable is the old
-// segment removed; a failure partway leaves the old segment live and
-// the half-built successor as a casualty the next rotation truncates
-// and recovery ignores.
+// rotate runs only after a sync), re-verified, its checkpoint expanded,
+// and the flat record payloads — optionally summarized — become the
+// successor's checkpoint bundle. Only after the successor is durable is
+// the old segment removed; a failure partway leaves the old segment
+// live and the half-built successor as a casualty the next rotation
+// truncates and recovery ignores.
 func (w *SegmentedWriter) rotate() error {
 	raw, err := w.fsys.ReadFile(w.path)
 	if err != nil {
@@ -551,7 +591,7 @@ func (w *SegmentedWriter) rotate() error {
 
 // WriteRaw writes pre-framed bytes to the live segment without syncing
 // or rotating — the fault injectors' seam for torn records and crash
-// windows. Production callers want Append.
+// windows. Production callers want Write or Append.
 func (w *SegmentedWriter) WriteRaw(b []byte) error {
 	if w == nil || w.f == nil {
 		return nil
@@ -560,6 +600,7 @@ func (w *SegmentedWriter) WriteRaw(b []byte) error {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}
 	w.tail += len(b)
+	w.unsynced = true
 	return nil
 }
 

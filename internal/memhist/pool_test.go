@@ -179,10 +179,10 @@ func TestHandleRequestAllocBudget(t *testing.T) {
 }
 
 // memoHitSlack is what a memo hit may allocate beyond its copy of the
-// histogram and the lookups every request makes. A default
-// pointer-chase cell on uma allocated 1920 bytes per hit: a 1264-byte
-// copy and 656 bytes of workload and machine lookup (topology.ByName
-// builds the machine).
+// histogram and its workload lookup. A default pointer-chase cell on
+// uma allocated 1280 bytes per hit: a 1264-byte copy and 16 bytes of
+// workload lookup. A hit builds no machine: topology.ByName, 640 bytes,
+// runs only on a miss.
 const memoHitSlack = 64
 
 // cloneSink keeps TestHandleRequestHitAllocs' copies on the heap, as a
@@ -190,9 +190,9 @@ const memoHitSlack = 64
 var cloneSink *Histogram
 
 // TestHandleRequestHitAllocs is the live allocation guard over a probe
-// cell that hits the memo: it takes no engine and allocates only its
-// copy of the stored histogram and the request's lookups, plus
-// memoHitSlack.
+// cell that hits the memo: it takes no engine, builds no machine and
+// allocates only its copy of the stored histogram and its workload
+// lookup, plus memoHitSlack.
 func TestHandleRequestHitAllocs(t *testing.T) {
 	req := ProbeRequest{Workload: "pointer-chase", Machine: "uma", Seed: 1}
 	stored, err := HandleRequest(req)
@@ -210,10 +210,7 @@ func TestHandleRequestHitAllocs(t *testing.T) {
 		return (after.TotalAlloc - before.TotalAlloc) / calls
 	}
 	copyBytes := meanBytes(func() { cloneSink = stored.clone() })
-	lookupBytes := meanBytes(func() {
-		workloads.ByName(req.Workload)
-		topology.ByName(req.Machine)
-	})
+	lookupBytes := meanBytes(func() { workloads.ByName(req.Workload) })
 	hitBytes := meanBytes(func() {
 		req.Seed++
 		if _, err := HandleRequest(req); err != nil {

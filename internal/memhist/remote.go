@@ -124,10 +124,6 @@ func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogra
 	if machName == "" {
 		machName = "dl580"
 	}
-	mach, ok := topology.ByName(machName)
-	if !ok {
-		return nil, fmt.Errorf("memhist: %w %q", ErrUnknownMachine, machName)
-	}
 	threads := req.Threads
 	if threads <= 0 {
 		threads = 1
@@ -138,6 +134,12 @@ func HandleRequestWith(req ProbeRequest, sampler perf.SamplerOptions) (*Histogra
 		if h := memo.get(mk); h != nil {
 			return h, nil
 		}
+	}
+	// Only a miss builds the machine. An unknown name always misses: a
+	// failed request is never stored.
+	mach, ok := topology.ByName(machName)
+	if !ok {
+		return nil, fmt.Errorf("memhist: %w %q", ErrUnknownMachine, machName)
 	}
 	e, err := takeEngine(key, mach, req.Seed)
 	if err != nil {
