@@ -108,6 +108,9 @@ type ProbeAgent struct {
 	crashes    atomic.Uint64
 	overloads  atomic.Uint64
 	received   atomic.Uint64
+	// inFlight counts the requests in ServeRequest, which heartbeats
+	// report: 1 while a cell is served, else 0.
+	inFlight atomic.Int64
 }
 
 // Stats snapshots the agent's counters.
@@ -301,7 +304,7 @@ func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64, 
 			}
 			stats, _ := json.Marshal(a.Stats())
 			if err := send(probenet.FrameHeartbeat, &probenet.Heartbeat{
-				ProbeID: a.ID, Instance: instance, Seq: seq, Stats: stats,
+				ProbeID: a.ID, Instance: instance, Seq: seq, InFlight: int(a.inFlight.Load()), Stats: stats,
 			}); err != nil {
 				return // the request loop observes the dead connection
 			}
@@ -360,7 +363,10 @@ func (a *ProbeAgent) serve(ctx context.Context, conn net.Conn, instance uint64, 
 				}
 				continue
 			}
-			if err := a.srv.ServeRequest(env, send); err != nil {
+			a.inFlight.Add(1)
+			err := a.srv.ServeRequest(env, send)
+			a.inFlight.Add(-1)
+			if err != nil {
 				return err
 			}
 		case probenet.FrameError:

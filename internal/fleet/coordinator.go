@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,12 +60,12 @@ type Options struct {
 	Tick time.Duration
 
 	// JournalPath enables the campaign crash journal; empty runs in
-	// memory only. Every committed cell (raw histogram bytes, fidelity
-	// footer, gap verdict) and every probe strike-ledger change is
-	// CRC-framed. A ledger change is fsynced before any further cell is
-	// dispatched; the cells a loop turn commits share one fsync, issued
-	// before the loop waits for outcomes and before the campaign
-	// returns its report.
+	// memory only. Every committed cell (histogram bytes in
+	// json.Marshal's compact form, fidelity footer, gap verdict) and
+	// every probe strike-ledger change is CRC-framed. A ledger change is
+	// fsynced before any further cell is dispatched; the cells a loop
+	// turn commits share one fsync, issued before the loop waits for
+	// outcomes and before the campaign returns its report.
 	JournalPath string
 	// JournalSegmentBytes rotates the journal into checkpointed
 	// segments (JournalPath.000001, …) once the live tail passes this
@@ -127,13 +128,23 @@ func (o Options) withDefaults() Options {
 
 // outcome is one terminal event for a dispatched cell, delivered from a
 // link reader to the campaign loop. A response's histogram is decoded
-// by the reader: hist, or histErr when the body is malformed.
+// by the reader: ans, or histErr when the body is malformed.
 type outcome struct {
 	reqID   uint64
-	body    json.RawMessage
 	err     error
-	hist    *memhist.Histogram
+	ans     *answer
 	histErr error
+}
+
+// answer is a response body that decoded, as its link remembers it: the
+// body, its histogram, and its journal form, json.Marshal of the body
+// as a json.RawMessage, which is what encoding a fleetCellRecord does
+// to it (compacting, escaping HTML). Cells answered with these bytes
+// share it, so nothing may change it.
+type answer struct {
+	body    []byte
+	hist    *memhist.Histogram
+	journal []byte
 }
 
 // pendEntry routes a response for one request ID to the campaign
@@ -153,13 +164,15 @@ const (
 )
 
 // link is one registered probe connection. Writes are serialised; the
-// reader goroutine owns all reads.
+// reader goroutine owns all reads, and last, the link's last answer
+// that decoded.
 type link struct {
 	id       string
 	instance uint64
 	conn     net.Conn
 	writeMu  sync.Mutex
 	closed   atomic.Bool
+	last     *answer
 }
 
 func (l *link) send(t probenet.FrameType, v any) error {
@@ -173,6 +186,22 @@ func (l *link) close() {
 	if l.closed.CompareAndSwap(false, true) {
 		_ = l.conn.Close()
 	}
+}
+
+// decode decodes a response body, and its journal form, into the
+// link's last answer; a body that fails to decode leaves the last
+// answer as it was.
+func (l *link) decode(body []byte) (*answer, error) {
+	h, err := memhist.DecodeHistogram(body)
+	if err != nil {
+		return nil, err
+	}
+	j, err := json.Marshal(json.RawMessage(body))
+	if err != nil {
+		return nil, err
+	}
+	l.last = &answer{body: body, hist: h, journal: j}
+	return l.last, nil
 }
 
 // Coordinator is the fleet control plane: it accepts probe
@@ -388,7 +417,10 @@ func (c *Coordinator) handshake(conn net.Conn) {
 }
 
 // readLoop owns all reads on one probe link: heartbeats feed the
-// tracker, responses and errors route to the waiting campaign.
+// tracker, responses and errors route to the waiting campaign. A
+// RESPONSE that splits canonically into an ID and a body byte-equal to
+// the link's last answer is that answer, with no JSON pass; any other
+// is decoded in full.
 func (c *Coordinator) readLoop(l *link) {
 	idle := c.opts.DeadAfter
 	if idle <= 0 {
@@ -425,12 +457,26 @@ func (c *Coordinator) readLoop(l *link) {
 			}
 			c.notifyFleet()
 		case probenet.FrameResponse:
-			var resp probenet.Response
-			if err := probenet.Decode(t, payload, &resp); err != nil {
-				c.dropLink(l, err.Error())
-				return
+			id, body, ok := probenet.SplitResponse(payload)
+			repeat := ok && l.last != nil && bytes.Equal(body, l.last.body)
+			if !repeat {
+				var resp probenet.Response
+				if err := probenet.Decode(t, payload, &resp); err != nil {
+					c.dropLink(l, err.Error())
+					return
+				}
+				id, body = resp.ID, resp.Body
 			}
-			c.deliver(resp.ID, resp.Body, nil)
+			// A late or duplicate response is dropped undecoded.
+			if ch := c.claim(id); ch != nil {
+				o := outcome{reqID: id}
+				if repeat {
+					o.ans = l.last
+				} else {
+					o.ans, o.histErr = l.decode(body)
+				}
+				ch <- o
+			}
 		case probenet.FrameError:
 			var em probenet.ErrorMsg
 			if err := probenet.Decode(t, payload, &em); err != nil {
@@ -438,7 +484,9 @@ func (c *Coordinator) readLoop(l *link) {
 				return
 			}
 			if em.ID != 0 {
-				c.deliver(em.ID, nil, &probenet.RemoteError{Code: em.Code, Message: em.Message, RetryAfterMillis: em.RetryAfterMillis})
+				if ch := c.claim(em.ID); ch != nil {
+					ch <- outcome{reqID: em.ID, err: &probenet.RemoteError{Code: em.Code, Message: em.Message, RetryAfterMillis: em.RetryAfterMillis}}
+				}
 			} else {
 				c.dropLink(l, fmt.Sprintf("probe reported connection error [%s]: %s", em.Code, em.Message))
 				return
@@ -489,25 +537,19 @@ func (c *Coordinator) closeLink(id string) {
 	}
 }
 
-// deliver routes an outcome to the campaign waiting on reqID, decoding
-// a response's histogram on the calling link reader, off the campaign
-// loop; late or duplicate deliveries (the entry was cancelled or
-// already delivered) are dropped undecoded.
-func (c *Coordinator) deliver(reqID uint64, body json.RawMessage, err error) {
+// claim removes the pending entry of reqID and returns the channel of
+// the campaign waiting on it, which the caller sends its outcome on; nil
+// means the entry was cancelled or already delivered. A link reader
+// builds the outcome, decoding a response off the campaign loop.
+func (c *Coordinator) claim(reqID uint64) chan<- outcome {
 	c.pendMu.Lock()
+	defer c.pendMu.Unlock()
 	e, ok := c.pending[reqID]
-	if ok {
-		delete(c.pending, reqID)
-	}
-	c.pendMu.Unlock()
 	if !ok {
-		return
+		return nil
 	}
-	o := outcome{reqID: reqID, body: body, err: err}
-	if err == nil {
-		o.hist, o.histErr = memhist.DecodeHistogram(body)
-	}
-	e.ch <- o
+	delete(c.pending, reqID)
+	return e.ch
 }
 
 // cancelPending removes a pending entry so a late response is dropped.
@@ -611,17 +653,20 @@ const (
 )
 
 type cellState struct {
-	status       cellStatus
-	attempts     int
-	notBefore    time.Time
-	backoff      *probenet.Backoff // built on the cell's first retry
+	status    cellStatus
+	attempts  int
+	notBefore time.Time
+	backoff   *probenet.Backoff // built on the cell's first retry
+	// hist is the cell's histogram. Cells a link answered with the same
+	// bytes share one decoded histogram, so nothing may change it: the
+	// gather's MergeHistograms only reads it.
 	hist         *memhist.Histogram
 	gapReason    string
 	redispatched bool
-	// body retains the probe's raw response bytes until the cell is
-	// journaled verbatim; servedBy names the probe that produced them.
-	body     json.RawMessage
-	servedBy string
+	// journalHist retains the histogram's journal form until the cell is
+	// journaled; servedBy names the probe that produced it.
+	journalHist []byte
+	servedBy    string
 	// journaled marks the cell's verdict written to the journal, to be
 	// fsynced before the loop next waits (or replayed from a resumed
 	// journal).
@@ -760,9 +805,10 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	// commit writes cell verdicts to the journal in canonical order: a
 	// cell is written only once every earlier cell's verdict is, which
 	// is what makes a partial journal a byte-prefix of the complete one.
-	// The writes become durable together at the loop's next jnl.Sync.
-	// Scripted faults crash the coordinator in each distinct window of
-	// the write path.
+	// A completed cell's record is spliced around its histogram's
+	// journal form. The writes become durable together at the loop's
+	// next jnl.Sync. Scripted faults crash the coordinator in each
+	// distinct window of the write path, on the same record bytes.
 	commit := func() error {
 		for nextCommit < n {
 			st := cells[nextCommit]
@@ -770,20 +816,23 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 				return nil
 			}
 			if !st.journaled {
-				var record any
-				if st.status == cellDone {
-					record = &fleetCellRecord{Kind: "cell", Cell: nextCommit, Probe: st.servedBy, Hist: st.body}
-				} else {
-					record = &fleetGapRecord{Kind: "gap", Cell: nextCommit, Reason: st.gapReason}
+				var payload []byte
+				switch {
+				case jnl == nil:
+					// Without a journal nothing reads the record.
+				case st.status == cellDone:
+					payload = cellRecordJSON(nextCommit, st.servedBy, st.journalHist)
+				default:
+					var err error
+					payload, err = json.Marshal(&fleetGapRecord{Kind: "gap", Cell: nextCommit, Reason: st.gapReason})
+					if err != nil {
+						return fmt.Errorf("fleet: encoding journal record: %w", err)
+					}
 				}
 				if d := c.opts.Disruptor; d != nil {
 					if fault := d.OnCommit(nextCommit); fault != CommitNone {
 						if fault == CommitKillBefore {
 							return ErrCoordinatorKilled
-						}
-						payload, err := json.Marshal(record)
-						if err != nil {
-							return fmt.Errorf("fleet: encoding journal record: %w", err)
 						}
 						frame := journal.Frame(payload)
 						if fault == CommitTear {
@@ -795,11 +844,11 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 						return ErrCoordinatorKilled
 					}
 				}
-				if err := jnl.Write(record); err != nil {
+				if err := jnl.Write(payload); err != nil {
 					return err
 				}
 				st.journaled = true
-				st.body = nil
+				st.journalHist = nil
 			}
 			nextCommit++
 		}
@@ -910,8 +959,8 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 		}
 		st := cells[d.cell]
 		st.status = cellDone
-		st.hist = o.hist
-		st.body = o.body
+		st.hist = o.ans.hist
+		st.journalHist = o.ans.journal
 		st.servedBy = d.probe
 		remaining--
 		report.Completed++

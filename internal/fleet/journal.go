@@ -1,13 +1,14 @@
 // Fleet campaign journal: the coordinator's record vocabulary over the
 // shared internal/journal log. A journal-backed campaign appends, in
 // canonical cell order, one record per committed cell — the probe's
-// raw histogram bytes (fidelity footer included) for a completed cell,
-// the typed reason for a gapped one — plus probe strike/quarantine
-// records whenever the health ledger changes. A ledger record is
-// fsynced before any further cell is dispatched; the cell records one
-// campaign-loop turn commits share one fsync, issued before the loop
-// waits for outcomes and before the report is built, so a power loss
-// costs at most that turn's cells, which a resume measures again.
+// histogram bytes (fidelity footer included) in json.Marshal's compact
+// form for a completed cell, the typed reason for a gapped one — plus
+// probe strike/quarantine records whenever the health ledger changes.
+// A ledger record is fsynced before any further cell is dispatched; the
+// cell records one campaign-loop turn commits share one fsync, issued
+// before the loop waits for outcomes and before the report is built, so
+// a power loss costs at most that turn's cells, which a resume measures
+// again.
 // Because cell i's measurement is a pure function of the spec (seed
 // Seed+i+1), a coordinator restarted with Resume replays the committed
 // prefix verbatim, re-scatters only the missing cells, and gathers a
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"numaperf/internal/journal"
 )
@@ -118,13 +120,30 @@ func (h *fleetHeader) matches(want *fleetHeader) error {
 }
 
 // fleetCellRecord journals one committed cell: the serving probe and
-// the probe's raw response bytes, kept verbatim so a replayed cell
-// contributes exactly the bytes the original run merged.
+// the probe's histogram bytes, in json.Marshal's compact form, so a
+// replayed cell contributes exactly the histogram the original run
+// merged.
 type fleetCellRecord struct {
 	Kind  string          `json:"kind"`
 	Cell  int             `json:"cell"`
 	Probe string          `json:"probe"`
 	Hist  json.RawMessage `json:"hist"`
+}
+
+// cellRecordJSON encodes a completed cell's record around hist, the
+// journal form of its histogram bytes (json.Marshal of them as a
+// json.RawMessage): the bytes json.Marshal of the fleetCellRecord
+// holding those histogram bytes produces, without scanning them again.
+func cellRecordJSON(cell int, probe string, hist []byte) []byte {
+	p, _ := json.Marshal(probe) // a string always encodes
+	b := make([]byte, 0, len(`{"kind":"cell","cell":,"probe":,"hist":}`)+20+len(p)+len(hist))
+	b = append(b, `{"kind":"cell","cell":`...)
+	b = strconv.AppendInt(b, int64(cell), 10)
+	b = append(b, `,"probe":`...)
+	b = append(b, p...)
+	b = append(b, `,"hist":`...)
+	b = append(b, hist...)
+	return append(b, '}')
 }
 
 // fleetGapRecord journals a cell the campaign gave up on (KeepGoing):

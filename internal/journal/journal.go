@@ -116,9 +116,19 @@ type State struct {
 	ValidLen int
 }
 
-// Frame builds the wire form of one record line for a payload.
+// Frame builds the wire form of one record line for a payload: the
+// payload's CRC-32 as eight lower-case hex digits, a space, the payload
+// and a newline.
 func Frame(payload []byte) []byte {
-	return []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload))
+	const hex = "0123456789abcdef"
+	sum := crc32.ChecksumIEEE(payload)
+	line := make([]byte, 0, lineLen(payload))
+	for shift := 28; shift >= 0; shift -= 4 {
+		line = append(line, hex[sum>>shift&0xf])
+	}
+	line = append(line, ' ')
+	line = append(line, payload...)
+	return append(line, '\n')
 }
 
 // ParseLine verifies and decodes one journal line (without its trailing

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,6 +245,37 @@ func TestFrameParseLineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameMatchesSprintf holds Frame to the expression it replaced,
+// fmt.Sprintf("%08x %s\n", crc, payload): on random payloads, on the
+// empty payload, and on payloads whose CRC starts with one to four zero
+// nibbles, which the eight digits must keep.
+func TestFrameMatchesSprintf(t *testing.T) {
+	ref := func(p []byte) []byte {
+		return []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(p), p))
+	}
+	rng := rand.New(rand.NewSource(1))
+	payloads := [][]byte{nil, {}}
+	for i := 0; i < 500; i++ {
+		p := make([]byte, rng.Intn(300))
+		rng.Read(p)
+		payloads = append(payloads, p)
+	}
+	for zeros := 1; zeros <= 4; zeros++ {
+		for i := 0; ; i++ {
+			p := []byte(fmt.Sprintf(`{"kind":"cell","n":%d}`, i))
+			if crc32.ChecksumIEEE(p)>>(32-4*zeros) == 0 {
+				payloads = append(payloads, p)
+				break
+			}
+		}
+	}
+	for _, p := range payloads {
+		if got, want := Frame(p), ref(p); !bytes.Equal(got, want) {
+			t.Errorf("Frame(%q) = %q, want %q", p, got, want)
+		}
+	}
+}
+
 func TestParseLineRejects(t *testing.T) {
 	cases := []string{
 		"short",
@@ -255,6 +288,45 @@ func TestParseLineRejects(t *testing.T) {
 		if _, _, err := ParseLine(line); err == nil {
 			t.Errorf("ParseLine(%q) accepted", line)
 		}
+	}
+}
+
+// TestWriteEncodedRecord: a record given as []byte is framed as it
+// is, so writing a record's json.Marshal bytes leaves the journal the
+// record itself leaves.
+func TestWriteEncodedRecord(t *testing.T) {
+	opts := SegmentedOptions{Version: 1, Header: &header{Kind: "header", Version: 1}}
+	recs := []*item{{Kind: "cell", Key: "a"}, {Kind: "gap", Key: "<b&c>"}}
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(t.TempDir(), "j")
+		w, err := OpenSegmented(OSFS, path, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			var rec any = r
+			if i == 1 {
+				if rec, err = json.Marshal(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Errorf("journal of encoded records\n%s\ndiffers from the records' journal\n%s", files[1], files[0])
 	}
 }
 

@@ -489,10 +489,12 @@ func (w *SegmentedWriter) Append(record any) error {
 }
 
 // Write marshals, frames and writes one record without fsyncing it: it
-// is durable after the next Sync. A record that fills the segment
-// (SegmentBytes set) is fsynced and rotated at once, so under a segment
-// budget every such record issues the ops Append does. A writer opened
-// by Owner.Open applies the owner's disk-fault policy to any failure.
+// is durable after the next Sync. A record of type []byte is a payload
+// already encoded as JSON and is framed as it is. A record that fills
+// the segment (SegmentBytes set) is fsynced and rotated at once, so
+// under a segment budget every such record issues the ops Append does.
+// A writer opened by Owner.Open applies the owner's disk-fault policy
+// to any failure.
 func (w *SegmentedWriter) Write(record any) error {
 	if w == nil || w.f == nil {
 		return nil
@@ -501,9 +503,12 @@ func (w *SegmentedWriter) Write(record any) error {
 }
 
 func (w *SegmentedWriter) writeRecord(record any) error {
-	payload, err := json.Marshal(record)
-	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
+	payload, ok := record.([]byte)
+	if !ok {
+		var err error
+		if payload, err = json.Marshal(record); err != nil {
+			return fmt.Errorf("journal: encoding record: %w", err)
+		}
 	}
 	frame := Frame(payload)
 	if _, err := w.f.Write(frame); err != nil {

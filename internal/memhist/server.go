@@ -377,10 +377,11 @@ func (s *ProbeServer) handle(pc *probeConn) {
 // agent both call it, so every route measures and answers alike. It
 // decodes and validates the body, measures with panic recovery, maps a
 // failure onto its error code, accounts sampling fidelity, and encodes
-// the RESPONSE. Every
-// RESPONSE or ERROR is counted before write is called, so a peer that
-// has read it sees it counted; a failed write takes the count back. The
-// error returned is write's, after which the link is unusable.
+// the RESPONSE, framing the histogram's JSON into its envelope as it is
+// (probenet.ResponsePayload). Every RESPONSE or ERROR is counted before
+// write is called, so a peer that has read it sees it counted; a failed
+// write takes the count back. The error returned is write's, after
+// which the link is unusable.
 func (s *ProbeServer) ServeRequest(env probenet.Request, write func(probenet.FrameType, any) error) error {
 	s.init()
 	var req ProbeRequest
@@ -408,7 +409,7 @@ func (s *ProbeServer) ServeRequest(env probenet.Request, write func(probenet.Fra
 	if err != nil {
 		return s.sendError(write, env.ID, probenet.CodeInternal, fmt.Sprintf("encoding histogram: %v", err))
 	}
-	return writeCounted(&s.stats.served, write, probenet.FrameResponse, &probenet.Response{ID: env.ID, Body: body})
+	return writeCounted(&s.stats.served, write, probenet.FrameResponse, probenet.ResponsePayload(env.ID, body))
 }
 
 // measure runs the request with its own panic recovery so a workload

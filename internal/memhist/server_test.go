@@ -1,10 +1,12 @@
 package memhist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -480,5 +482,45 @@ func TestMeasurementPanicBecomesErrorFrame(t *testing.T) {
 	// The probe survives: the next request succeeds.
 	if _, err := FetchRemote(addr, quickRequest(), 30*time.Second); err != nil {
 		t.Errorf("probe dead after panic: %v", err)
+	}
+}
+
+// TestResponsePayloadMatchesMarshal: for every pooledSequence
+// histogram, the hand-framed envelope equals json.Marshal of the
+// Response at IDs 0, 1 and 2^64−1, and the RESPONSE frame ServeRequest
+// writes is the frame of that marshalled envelope.
+func TestResponsePayloadMatchesMarshal(t *testing.T) {
+	srv := &ProbeServer{}
+	for i, req := range pooledSequence() {
+		h, err := HandleRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []uint64{0, 1, math.MaxUint64} {
+			want, err := json.Marshal(&probenet.Response{ID: id, Body: body})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := probenet.ResponsePayload(id, body); !bytes.Equal(got, want) {
+				t.Errorf("request %d, id %d: ResponsePayload\n got %s\nwant %s", i, id, got, want)
+			}
+		}
+		reqBody, _ := json.Marshal(req)
+		var got, want bytes.Buffer
+		if err := srv.ServeRequest(probenet.Request{ID: uint64(i), Body: reqBody}, func(ft probenet.FrameType, v any) error {
+			return probenet.WriteFrame(&got, ft, v)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := probenet.WriteFrame(&want, probenet.FrameResponse, &probenet.Response{ID: uint64(i), Body: body}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("request %d: ServeRequest wrote\n%q\nwant\n%q", i, got.Bytes(), want.Bytes())
+		}
 	}
 }

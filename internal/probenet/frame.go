@@ -23,11 +23,13 @@
 package probenet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strconv"
 )
 
 // Version is the protocol version spoken by this package. Peers with a
@@ -165,13 +167,64 @@ type Pong struct {
 	Stats json.RawMessage `json:"stats,omitempty"`
 }
 
-// WriteFrame marshals v and writes one complete frame. The header and
-// payload go out in a single Write so a well-behaved transport emits
-// them back-to-back.
+// ResponsePayload encodes the RESPONSE envelope {"id":id,"body":body}
+// by hand. For a body that json.Marshal produced, which is compact and
+// escaped, these are the bytes json.Marshal(&Response{ID: id, Body:
+// body}) produces, without scanning the body again.
+func ResponsePayload(id uint64, body []byte) []byte {
+	p := make([]byte, 0, len(`{"id":,"body":}`)+20+len(body))
+	p = append(p, `{"id":`...)
+	p = strconv.AppendUint(p, id, 10)
+	p = append(p, `,"body":`...)
+	p = append(p, body...)
+	return append(p, '}')
+}
+
+// SplitResponse is the inverse of ResponsePayload: it splits a RESPONSE
+// payload of exactly the form {"id":N,"body":B} into N and B, where N
+// has no sign, no leading zero and at most 19 digits, and B neither
+// starts nor ends with whitespace. It does not validate B, so a caller
+// may use the split only for a body it has seen decode before; any
+// other payload, ok false included, goes through Decode.
+func SplitResponse(payload []byte) (id uint64, body []byte, ok bool) {
+	const head, sep = `{"id":`, `,"body":`
+	if !bytes.HasPrefix(payload, []byte(head)) {
+		return 0, nil, false
+	}
+	rest := payload[len(head):]
+	n := 0
+	for n < len(rest) && n < 20 && '0' <= rest[n] && rest[n] <= '9' {
+		id = id*10 + uint64(rest[n]-'0')
+		n++
+	}
+	if n == 0 || n > 19 || (n > 1 && rest[0] == '0') || !bytes.HasPrefix(rest[n:], []byte(sep)) {
+		return 0, nil, false
+	}
+	body = rest[n+len(sep):]
+	if len(body) < 2 || body[len(body)-1] != '}' {
+		return 0, nil, false
+	}
+	body = body[:len(body)-1]
+	if isSpace(body[0]) || isSpace(body[len(body)-1]) {
+		return 0, nil, false
+	}
+	return id, body, true
+}
+
+// isSpace reports a byte JSON counts as whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// WriteFrame marshals v and writes one complete frame; a v of type
+// []byte is a payload already encoded, such as ResponsePayload's, and
+// goes out as it is. The header and payload go out in a single Write so
+// a well-behaved transport emits them back-to-back.
 func WriteFrame(w io.Writer, t FrameType, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("probenet: encoding %s payload: %w", t, err)
+	payload, ok := v.([]byte)
+	if !ok {
+		var err error
+		if payload, err = json.Marshal(v); err != nil {
+			return fmt.Errorf("probenet: encoding %s payload: %w", t, err)
+		}
 	}
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("probenet: %s payload %d bytes exceeds MaxFrame %d", t, len(payload), MaxFrame)
