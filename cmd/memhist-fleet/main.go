@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxInflight  = fs.Int("max-inflight", 1, "cells in flight per probe at a time")
 		keepGoing    = fs.Bool("keep-going", true, "record unserved cells as gaps instead of aborting")
 		strict       = fs.Bool("strict", false, "exit nonzero on gaps or quarantined probes")
-		journalPath  = fs.String("journal", "", "crash journal: fsync every committed cell to this file")
+		journalPath  = fs.String("journal", "", "crash journal: record every committed cell in this file, fsynced before the report")
 		journalSegs  = fs.Int("journal-segments", 0, "rotate the journal into checkpointed segments past this many bytes (0 = single file)")
 		resume       = fs.Bool("resume", false, "resume a crashed campaign from -journal, re-scattering only missing cells")
 		statsEvery   = fs.Duration("stats-interval", 0, "emit CRC-framed campaign health/strike/in-flight snapshot lines this often (0 = off)")

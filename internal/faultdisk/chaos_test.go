@@ -527,9 +527,9 @@ func TestFleetStrictDiskFaultAborts(t *testing.T) {
 // TestFleetDiskBatchSyncWindows puts sync faults on the fsync that
 // makes a loop turn's cell records durable. With the journal in one
 // file, the coordinator writes the cells a turn commits and fsyncs them
-// together just before it waits for outcomes again; with two probes,
-// how many cells one fsync covers varies with scheduling. The fresh
-// journal's header is fsync#1 and the first batch's fsync is #2.
+// together, handling the answers that arrive meanwhile; how many cells
+// one fsync covers varies with scheduling. The fresh journal's header
+// is fsync#1 and the first batch's fsync is #2.
 func TestFleetDiskBatchSyncWindows(t *testing.T) {
 	spec := fleetSpec(4)
 	want := fleetReference(t, spec)
@@ -579,22 +579,25 @@ func TestFleetDiskBatchSyncWindows(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
+		cells  int
 		sync   int // the fsync that fails
 		probes int
 		strict bool
 	}{
-		{"failed-batch-fsync-degrades", 2, 2, false},
-		{"failed-batch-fsync-strict", 2, 2, true},
-		// One probe answers one cell per turn, so the four cells are
-		// fsynced by #2 to #5, and #5 follows the final commit.
-		{"failed-final-fsync-strict", 5, 1, true},
+		{"failed-batch-fsync-degrades", 4, 2, 2, false},
+		{"failed-batch-fsync-strict", 4, 2, 2, true},
+		// A one-cell campaign commits its cell only after the loop, so
+		// the header is fsync#1 and #2 follows the final commit. How many
+		// fsyncs a longer campaign issues depends on how many answers
+		// arrive while one runs.
+		{"failed-final-fsync-strict", 1, 2, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			script := NewScript().FailSync(tc.sync)
 			c := start(t, listenLoopback(t), filepath.Join(t.TempDir(), "fleet.journal"), script, tc.probes, tc.strict, false)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			rep, err := c.RunCampaign(ctx, spec)
+			rep, err := c.RunCampaign(ctx, fleetSpec(tc.cells))
 			if script.Fired() == 0 {
 				t.Fatal("disk fault script never fired")
 			}

@@ -4,8 +4,14 @@
 // wraps a journal.FS; each fault names an operation class (write,
 // sync, create, syncdir, read, remove, truncate, rename) and fires on
 // the Nth occurrence of that class, globally counted across all files.
-// Journal I/O is single-committer in both campaign and fleet, so
-// global counting is deterministic.
+// Journal I/O is single-committer in both campaign and fleet: one
+// goroutine issues every write and fsync, in a fixed order, so a
+// campaign journal's counts are deterministic. A fleet journal that
+// does not rotate batches the cells of a loop turn into one fsync, and
+// how many cells each covers depends on how many answers arrive while
+// the previous one runs; only the header's fsync (#1) and the last one,
+// after the final commit, have fixed places. A one-cell campaign on one
+// probe pins the last one to #2.
 //
 // Two fault families:
 //

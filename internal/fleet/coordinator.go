@@ -63,9 +63,11 @@ type Options struct {
 	// memory only. Every committed cell (histogram bytes in
 	// json.Marshal's compact form, fidelity footer, gap verdict) and
 	// every probe strike-ledger change is CRC-framed. A ledger change is
-	// fsynced before any further cell is dispatched; the cells a loop
-	// turn commits share one fsync, issued before the loop waits for
-	// outcomes and before the campaign returns its report.
+	// fsynced before any further cell is dispatched. The cells a loop
+	// turn commits share one fsync; while it runs, the answers that
+	// arrive are handled and their probes get their next cells, whose
+	// records the next turn writes. One more fsync follows the final
+	// commit, before the campaign returns its report.
 	JournalPath string
 	// JournalSegmentBytes rotates the journal into checkpointed
 	// segments (JournalPath.000001, …) once the live tail passes this
@@ -668,7 +670,7 @@ type cellState struct {
 	journalHist []byte
 	servedBy    string
 	// journaled marks the cell's verdict written to the journal, to be
-	// fsynced before the loop next waits (or replayed from a resumed
+	// fsynced by the loop's next fsync (or replayed from a resumed
 	// journal).
 	journaled bool
 	// lastProbe is the probe of the previous attempt; re-dispatch
@@ -688,10 +690,12 @@ type dispatch struct {
 
 // RunCampaign scatters the campaign's cells across the live fleet and
 // gathers the merged report. The campaign loop is the single committer:
-// it alone mutates cell state, and the final merge folds the per-cell
-// histograms in canonical cell order, so the report's histogram, gaps
-// and quarantine verdicts depend only on the spec whenever every cell
-// eventually completes. Cells stranded on a dead, quarantined or
+// it alone writes and fsyncs the journal. Cell state has one owner at a
+// time: the loop, or the helper that handles answers while the loop's
+// goroutine is in a turn's fsync, which the loop joins before it goes
+// on. The final merge folds the per-cell histograms in canonical cell
+// order, so the report's histogram, gaps and quarantine verdicts depend
+// only on the spec whenever every cell eventually completes. Cells stranded on a dead, quarantined or
 // deadline-blown probe re-dispatch with deterministic per-cell backoff;
 // a cell that exhausts MaxRetries becomes a typed Gap under KeepGoing
 // or aborts the campaign with a *CellError otherwise.
@@ -724,7 +728,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	// segment it starts, with the probe ledger compacted to one record
 	// per probe at each checkpoint.
 	nextCommit := 0
-	lastLedger := make(map[string]fleetProbeRecord)
+	led := &ledger{tracker: c.tracker, last: make(map[string]fleetProbeRecord)}
 	jnl, err := journalOwner.Open(journal.Config{
 		FS: c.opts.JournalFS, Path: c.opts.JournalPath, Resume: c.opts.Resume,
 		Strict: c.opts.StrictJournal, Logf: c.opts.Logf,
@@ -744,7 +748,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 			}
 			for _, id := range state.probeIDs() {
 				pr := state.probes[id]
-				lastLedger[pr.ID] = *pr
+				led.last[pr.ID] = *pr
 				if st := c.tracker.RestoreStrikes(pr.ID, pr.Strikes, pr.Reasons, pr.Quarantined); st == Quarantined {
 					// The journal remembers what the restart forgot: cut
 					// the probe off even if it already re-registered.
@@ -786,6 +790,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 		return nil, err
 	}
 	defer jnl.Close()
+	led.jnl = jnl
 	// A disk fault that cost the journal is reported, never lost
 	// silently.
 	defer func() {
@@ -807,13 +812,14 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	// is what makes a partial journal a byte-prefix of the complete one.
 	// A completed cell's record is spliced around its histogram's
 	// journal form. The writes become durable together at the loop's
-	// next jnl.Sync. Scripted faults crash the coordinator in each
-	// distinct window of the write path, on the same record bytes.
-	commit := func() error {
+	// next jnl.Sync; wrote reports that a live journal has such writes.
+	// Scripted faults crash the coordinator in each distinct window of
+	// the write path, on the same record bytes.
+	commit := func() (wrote bool, err error) {
 		for nextCommit < n {
 			st := cells[nextCommit]
 			if st.status != cellDone && st.status != cellGapped {
-				return nil
+				return wrote, nil
 			}
 			if !st.journaled {
 				var payload []byte
@@ -823,64 +829,36 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 				case st.status == cellDone:
 					payload = cellRecordJSON(nextCommit, st.servedBy, st.journalHist)
 				default:
-					var err error
 					payload, err = json.Marshal(&fleetGapRecord{Kind: "gap", Cell: nextCommit, Reason: st.gapReason})
 					if err != nil {
-						return fmt.Errorf("fleet: encoding journal record: %w", err)
+						return wrote, fmt.Errorf("fleet: encoding journal record: %w", err)
 					}
 				}
 				if d := c.opts.Disruptor; d != nil {
 					if fault := d.OnCommit(nextCommit); fault != CommitNone {
 						if fault == CommitKillBefore {
-							return ErrCoordinatorKilled
+							return wrote, ErrCoordinatorKilled
 						}
 						frame := journal.Frame(payload)
 						if fault == CommitTear {
 							frame = frame[:len(frame)/2]
 						}
 						if err := jnl.WriteRaw(frame); err != nil {
-							return err
+							return wrote, err
 						}
-						return ErrCoordinatorKilled
+						return wrote, ErrCoordinatorKilled
 					}
 				}
 				if err := jnl.Write(payload); err != nil {
-					return err
+					return wrote, err
 				}
+				wrote = jnl != nil && jnl.Fault() == ""
 				st.journaled = true
 				st.journalHist = nil
 			}
 			nextCommit++
 		}
-		return nil
-	}
-
-	// syncLedger journals probe strike/quarantine changes in probe-ID
-	// order, each fsynced before the loop dispatches again. Records
-	// carry absolute totals and the last record per probe wins on
-	// replay, so re-writing on every change is idempotent across any
-	// number of restarts.
-	syncLedger := func() error {
-		if jnl == nil {
-			return nil
-		}
-		for _, p := range c.tracker.Snapshot() {
-			quar := p.State == Quarantined
-			last, seen := lastLedger[p.ID]
-			if !seen && p.Strikes == 0 && !quar {
-				continue
-			}
-			if seen && last.Strikes == p.Strikes && last.Quarantined == quar {
-				continue
-			}
-			rec := fleetProbeRecord{Kind: "probe", ID: p.ID, Strikes: p.Strikes,
-				Reasons: p.StrikeReasons, Quarantined: quar}
-			if err := jnl.Append(&rec); err != nil {
-				return err
-			}
-			lastLedger[p.ID] = rec
-		}
-		return nil
+		return wrote, nil
 	}
 
 	// fail consumes one attempt of a cell; it re-queues the cell with
@@ -968,6 +946,105 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 		return nil
 	}
 
+	// dispatch scatters ready cells to healthy probes with room, in
+	// canonical cell order; a re-dispatched cell prefers any probe but
+	// its last.
+	dispatch := func(now time.Time) error {
+		healthy := c.tracker.Healthy()
+		for i := 0; i < n; i++ {
+			st := cells[i]
+			if st.status != cellPending || now.Before(st.notBefore) {
+				continue
+			}
+			probe, fallback := "", ""
+			for _, id := range healthy {
+				if inflightByProbe[id] >= c.opts.MaxInflightPerProbe {
+					continue
+				}
+				if id == st.lastProbe {
+					fallback = id
+					continue
+				}
+				probe = id
+				break
+			}
+			if probe == "" {
+				probe = fallback
+			}
+			if probe == "" {
+				return nil // fleet saturated; wait for capacity
+			}
+			c.mu.Lock()
+			l := c.links[probe]
+			c.mu.Unlock()
+			if l == nil {
+				continue // raced with a disconnect; next tick re-evaluates
+			}
+			if d := c.opts.Disruptor; d != nil && d.OnDispatch(i, st.attempts+1) {
+				// Scripted kill mid-scatter: earlier cells of this sweep
+				// are already on the wire; their responses will land on a
+				// dead coordinator and the resumed one must re-dispatch.
+				return ErrCoordinatorKilled
+			}
+			body, err := json.Marshal(spec.CellRequest(i))
+			if err != nil {
+				return fmt.Errorf("fleet: encoding cell %d: %w", i, err)
+			}
+			id := c.reqID.Add(1)
+			c.pendMu.Lock()
+			c.pending[id] = &pendEntry{probe: probe, instance: l.instance, ch: results}
+			c.pendMu.Unlock()
+			st.attempts++
+			st.lastProbe = probe
+			report.Dispatches++
+			if err := l.send(probenet.FrameRequest, &probenet.Request{
+				ID: id, TimeoutMillis: c.opts.CellTimeout.Milliseconds(), Body: body,
+			}); err != nil {
+				c.cancelPending(id)
+				l.close()
+				if ferr := fail(i, now, fmt.Errorf("dispatch to probe %q failed: %w", probe, err)); ferr != nil {
+					return ferr
+				}
+				continue
+			}
+			st.status = cellInFlight
+			inflight[id] = &dispatch{cell: i, probe: probe, instance: l.instance, deadline: now.Add(c.opts.CellTimeout)}
+			inflightByProbe[probe]++
+		}
+		return nil
+	}
+
+	// overlap runs on a helper goroutine while the loop's goroutine is
+	// inside a turn's fsync, and owns the campaign state until it
+	// answers overlapStop on overlapDone: it handles the outcomes that
+	// arrive meanwhile and dispatches the freed probes' next cells. Once
+	// the ledger moves it dispatches nothing more, so the next turn
+	// journals the strike before any cell goes out. Journal I/O stays on
+	// the loop's goroutine.
+	overlapStop, overlapDone := make(chan struct{}), make(chan error)
+	overlapped := 0
+	overlap := func() {
+		for {
+			select {
+			case <-overlapStop:
+				overlapDone <- nil
+				return
+			case o := <-results:
+				overlapped++
+				now := c.now()
+				err := handle(o, now)
+				if err == nil && c.tracker.ledgerGen() == led.gen {
+					err = dispatch(now)
+				}
+				if err != nil {
+					<-overlapStop
+					overlapDone <- err
+					return
+				}
+			}
+		}
+	}
+
 	timer := time.NewTimer(c.opts.Tick)
 	defer timer.Stop()
 	for remaining > 0 {
@@ -1018,77 +1095,17 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 
 		// Commit point: fsync the strike ledger and write every cell whose
 		// canonical turn has come before scattering more work. The cell
-		// records are fsynced together just before the loop waits, while
-		// the probes measure the cells dispatched below.
-		if err := syncLedger(); err != nil {
+		// records are fsynced together below, while the probes measure
+		// the cells dispatched next.
+		if err := led.sync(); err != nil {
 			return abort(err)
 		}
-		if err := commit(); err != nil {
+		wrote, err := commit()
+		if err != nil {
 			return abort(err)
 		}
-
-		// Dispatch: ready cells scatter to healthy probes, one cell per
-		// probe at a time, in canonical cell order.
-		healthy := c.tracker.Healthy()
-		for i := 0; i < n; i++ {
-			st := cells[i]
-			if st.status != cellPending || now.Before(st.notBefore) {
-				continue
-			}
-			probe, fallback := "", ""
-			for _, id := range healthy {
-				if inflightByProbe[id] >= c.opts.MaxInflightPerProbe {
-					continue
-				}
-				if id == st.lastProbe {
-					fallback = id
-					continue
-				}
-				probe = id
-				break
-			}
-			if probe == "" {
-				probe = fallback
-			}
-			if probe == "" {
-				break // fleet saturated; wait for capacity
-			}
-			c.mu.Lock()
-			l := c.links[probe]
-			c.mu.Unlock()
-			if l == nil {
-				continue // raced with a disconnect; next tick re-evaluates
-			}
-			if d := c.opts.Disruptor; d != nil && d.OnDispatch(i, st.attempts+1) {
-				// Scripted kill mid-scatter: earlier cells of this sweep
-				// are already on the wire; their responses will land on a
-				// dead coordinator and the resumed one must re-dispatch.
-				return abort(ErrCoordinatorKilled)
-			}
-			body, err := json.Marshal(spec.CellRequest(i))
-			if err != nil {
-				return abort(fmt.Errorf("fleet: encoding cell %d: %w", i, err))
-			}
-			id := c.reqID.Add(1)
-			c.pendMu.Lock()
-			c.pending[id] = &pendEntry{probe: probe, instance: l.instance, ch: results}
-			c.pendMu.Unlock()
-			st.attempts++
-			st.lastProbe = probe
-			report.Dispatches++
-			if err := l.send(probenet.FrameRequest, &probenet.Request{
-				ID: id, TimeoutMillis: c.opts.CellTimeout.Milliseconds(), Body: body,
-			}); err != nil {
-				c.cancelPending(id)
-				l.close()
-				if ferr := fail(i, now, fmt.Errorf("dispatch to probe %q failed: %w", probe, err)); ferr != nil {
-					return abort(ferr)
-				}
-				continue
-			}
-			st.status = cellInFlight
-			inflight[id] = &dispatch{cell: i, probe: probe, instance: l.instance, deadline: now.Add(c.opts.CellTimeout)}
-			inflightByProbe[probe]++
+		if err := dispatch(now); err != nil {
+			return abort(err)
 		}
 
 		// Empty-fleet accounting: with nothing in flight and no live
@@ -1119,10 +1136,27 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 
 		c.publishProgress(true, report, inflightByProbe)
 
-		// Durability point: every cell record written this turn is on
-		// disk before the loop waits.
-		if err := jnl.Sync(); err != nil {
+		// Durability point: every cell record written so far is on disk
+		// before the loop waits. In a turn that wrote records, the helper
+		// owns the campaign state while the fsync runs; once it is
+		// joined, a window that handled an outcome goes straight on to
+		// the next turn, which writes the cells the helper handled.
+		if wrote {
+			overlapped = 0
+			go overlap()
+		}
+		err = jnl.Sync()
+		if wrote {
+			overlapStop <- struct{}{}
+			if herr := <-overlapDone; err == nil {
+				err = herr
+			}
+		}
+		if err != nil {
 			return abort(err)
+		}
+		if wrote && overlapped > 0 {
+			continue
 		}
 
 		// Wait for an outcome or the next bookkeeping tick.
@@ -1158,10 +1192,10 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec Spec) (*Report, erro
 	// Final durability point: the loop can exit with verdicts not yet
 	// journaled (the last outcomes arrive inside the select); nothing is
 	// acknowledged in the report before it is on disk.
-	if err := syncLedger(); err != nil {
+	if err := led.sync(); err != nil {
 		return abort(err)
 	}
-	if err := commit(); err != nil {
+	if _, err := commit(); err != nil {
 		return abort(err)
 	}
 	if err := jnl.Sync(); err != nil {

@@ -157,11 +157,13 @@ type probeHealth struct {
 	registrations int
 }
 
-func (p *probeHealth) strike(reason string) {
+// strikeLocked charges p with a strike, which moves the ledger.
+func (t *Tracker) strikeLocked(p *probeHealth, reason string) {
 	p.strikes++
 	if len(p.reasons) == 0 || p.reasons[len(p.reasons)-1] != reason {
 		p.reasons = append(p.reasons, reason)
 	}
+	t.gen++
 }
 
 // Tracker is the fleet health state machine. It is pure bookkeeping
@@ -172,6 +174,10 @@ type Tracker struct {
 	mu     sync.Mutex
 	opts   TrackerOptions
 	probes map[string]*probeHealth
+	// gen is the ledger generation: it moves on every strike and every
+	// restore, the only changes that move a probe's strikes or
+	// quarantine it, which is what a journal records.
+	gen uint64
 }
 
 // NewTracker builds a tracker with the given options (zero fields take
@@ -196,7 +202,7 @@ func (t *Tracker) Register(id string, instance uint64, now time.Time) error {
 		return &QuarantineError{ProbeID: id, Strikes: p.strikes, Reason: joinReasons(p.reasons)}
 	}
 	if p.connected {
-		p.strike("re-registered while connected (flap)")
+		t.strikeLocked(p, "re-registered while connected (flap)")
 		if t.quarantineLocked(p) {
 			return &QuarantineError{ProbeID: id, Strikes: p.strikes, Reason: joinReasons(p.reasons)}
 		}
@@ -258,7 +264,7 @@ func (t *Tracker) Disconnect(id string, instance uint64, reason string) (Health,
 	}
 	p.connected = false
 	p.state = Dead
-	p.strike(reason)
+	t.strikeLocked(p, reason)
 	t.quarantineLocked(p)
 	return p.state, nil
 }
@@ -275,7 +281,7 @@ func (t *Tracker) Strike(id, reason string) Health {
 		}
 		return Quarantined
 	}
-	p.strike(reason)
+	t.strikeLocked(p, reason)
 	t.quarantineLocked(p)
 	return p.state
 }
@@ -304,6 +310,7 @@ func (t *Tracker) RestoreStrikes(id string, strikes int, reasons []string, quara
 		restored := append([]string(nil), reasons...)
 		p.reasons = append(restored, p.reasons...)
 	}
+	t.gen++
 	if quarantined {
 		p.state = Quarantined
 	} else {
@@ -325,6 +332,16 @@ func (t *Tracker) quarantineLocked(p *probeHealth) bool {
 	return false
 }
 
+// ledgerGen returns the ledger generation. A campaign journals the
+// ledger when it has moved, and dispatches nothing while the fsync of a
+// loop turn runs once it moves, so a strike is on disk before any
+// further cell goes out.
+func (t *Tracker) ledgerGen() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.gen
+}
+
 // Sweep advances every connected probe's state for the given instant:
 // heartbeat silence past SuspectAfter demotes to suspect, past
 // DeadAfter to dead (a strike, possibly quarantine). The transitions
@@ -344,7 +361,7 @@ func (t *Tracker) Sweep(now time.Time) []Transition {
 			p.connected = false
 			p.state = Dead
 			reason := fmt.Sprintf("missed heartbeats for %s (dead after %s)", silence, t.opts.DeadAfter)
-			p.strike(reason)
+			t.strikeLocked(p, reason)
 			t.quarantineLocked(p)
 			out = append(out, Transition{ProbeID: p.id, From: from, To: p.state, Reason: reason})
 		case silence >= t.opts.SuspectAfter && p.state == Healthy:

@@ -5,10 +5,11 @@
 // form for a completed cell, the typed reason for a gapped one — plus
 // probe strike/quarantine records whenever the health ledger changes.
 // A ledger record is fsynced before any further cell is dispatched; the
-// cell records one campaign-loop turn commits share one fsync, issued
-// before the loop waits for outcomes and before the report is built, so
-// a power loss costs at most that turn's cells, which a resume measures
-// again.
+// cell records one campaign-loop turn commits share one fsync, during
+// which the coordinator keeps handling answers and dispatching cells,
+// and one more fsync precedes the report, so a power loss costs at most
+// the cells written since the last completed fsync, which a resume
+// measures again.
 // Because cell i's measurement is a pure function of the spec (seed
 // Seed+i+1), a coordinator restarted with Resume replays the committed
 // prefix verbatim, re-scatters only the missing cells, and gathers a
@@ -320,5 +321,49 @@ func (s *fleetJournalState) admit(c fleetCommit, idx, line int) error {
 			ErrJournalCorrupt, line, idx, s.header.Cells)
 	}
 	s.committed = append(s.committed, c)
+	return nil
+}
+
+// ledger journals the tracker's strike ledger: a record for every probe
+// whose strikes or quarantine changed since its last record, in
+// probe-ID order, each fsynced (Append) before the loop dispatches
+// again. Records carry absolute totals and the last record per probe
+// wins on replay, so re-writing on every change is idempotent across
+// any number of restarts.
+type ledger struct {
+	tracker *Tracker
+	jnl     *journal.SegmentedWriter
+	// gen is the tracker's ledger generation at the last sync: until
+	// it moves, nothing is new and sync reads nothing.
+	gen  uint64
+	last map[string]fleetProbeRecord
+}
+
+// sync journals every ledger change since the last sync.
+func (l *ledger) sync() error {
+	if l.jnl == nil {
+		return nil
+	}
+	gen := l.tracker.ledgerGen()
+	if gen == l.gen {
+		return nil
+	}
+	for _, p := range l.tracker.Snapshot() {
+		quar := p.State == Quarantined
+		last, seen := l.last[p.ID]
+		if !seen && p.Strikes == 0 && !quar {
+			continue
+		}
+		if seen && last.Strikes == p.Strikes && last.Quarantined == quar {
+			continue
+		}
+		rec := fleetProbeRecord{Kind: "probe", ID: p.ID, Strikes: p.Strikes,
+			Reasons: p.StrikeReasons, Quarantined: quar}
+		if err := l.jnl.Append(&rec); err != nil {
+			return err
+		}
+		l.last[p.ID] = rec
+	}
+	l.gen = gen
 	return nil
 }

@@ -267,6 +267,49 @@ func TestRestoreStrikes(t *testing.T) {
 	}
 }
 
+// TestLedgerSyncSkipsUnchangedLedger: a ledger sync journals each
+// strike once, and with the ledger unchanged since the last sync it
+// takes no snapshot and allocates nothing.
+func TestLedgerSyncSkipsUnchangedLedger(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	jnl, err := journalOwner.Open(journal.Config{Path: path, Segments: journal.SegmentedOptions{
+		Version: fleetJournalVersion, Header: fleetHeaderFor(testFleetSpec(1)),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	tr := NewTracker(TrackerOptions{StrikeLimit: -1})
+	if err := tr.Register("p1", 1, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	led := &ledger{tracker: tr, jnl: jnl, last: make(map[string]fleetProbeRecord)}
+	records := func() int {
+		t.Helper()
+		st, err := loadFleetJournal(journal.OSFS, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.probes["p1"].Strikes
+	}
+	for want := 1; want <= 2; want++ {
+		tr.Strike("p1", "exceeded cell deadline")
+		if err := led.sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := records(); got != want {
+			t.Fatalf("journaled %d strikes, want %d", got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := led.sync(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("sync of an unchanged ledger allocated %.0f times", allocs)
+		}
+	}
+}
+
 // A journal from a previous run must refuse a fresh (non-resume)
 // campaign instead of being clobbered.
 func TestRunCampaignRefusesExistingJournal(t *testing.T) {
